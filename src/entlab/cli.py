@@ -456,6 +456,16 @@ def cmd_selftest(args, outdir: Path) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
+def _grid_points(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 points, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entlab",
@@ -541,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=16)
     p.add_argument("--tau-pattern", nargs="+", choices=sorted(TAU_PATTERNS),
                    default=["pair-up"])
-    p.add_argument("--phi-grid", type=int, default=9)
+    p.add_argument("--phi-grid", type=_grid_points, default=9,
+                   help="number of phi values on [0, pi/4], at least 2")
     p.add_argument("--gamma-grid", default="0.9,0.99,0.999")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--delta", type=float, default=0.0)

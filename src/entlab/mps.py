@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, svd
-from .states import PureState, entropy_from_probabilities
+from .states import SCHMIDT_CUTOFF, PureState, entropy_from_probabilities
 
-SCHMIDT_CUTOFF = 1e-12
 DENSE_SITE_LIMIT = 16
 
 # sign of <Z X Z> on the cluster-state matrices below, fixed by measurement

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from entlab.chains import (
+    SpinHamiltonian,
     build_aklt,
     build_cluster,
     build_mg,
@@ -18,7 +20,14 @@ from entlab.chains import (
     spin1_matrices,
     thermal_state,
 )
-from entlab.linalg import PAULI_X, PAULI_Z, kron
+from entlab.kinetic import (
+    KineticModel,
+    TauSector,
+    build_h_beta_single_flip,
+    build_h_tau_single_flip,
+    build_h_tau_two_flip,
+)
+from entlab.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
 from entlab.mps import aklt_mps, cluster_mps, majumdar_ghosh_mps
 from entlab.states import DensityMatrix, PureState, random_density
 
@@ -281,3 +290,177 @@ def test_spin1_algebra():
     assert np.abs(comm - 1j * s["z"]).max() <= 1e-12
     casimir = s["x"] @ s["x"] + s["y"] @ s["y"] + s["z"] @ s["z"]
     assert np.allclose(casimir, 2 * np.eye(3), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# assembly against the Kronecker-chain definition
+# ---------------------------------------------------------------------------
+
+def _kron_chain(ham, factors, kron_fn, identity):
+    mats = dict(factors)
+    out = None
+    for s in range(ham.nsites):
+        m = mats.get(s, identity)
+        out = m if out is None else kron_fn(out, m)
+    return out
+
+
+def kron_reference_dense(ham):
+    """Sum of coeff * (x)_s factor_s over the terms, real when imag <= 1e-14 relative."""
+    dim = ham.local_dim ** ham.nsites
+    out = np.zeros((dim, dim), dtype=complex)
+    ident = np.eye(ham.local_dim, dtype=complex)
+    for coeff, factors in ham.terms:
+        out += coeff * _kron_chain(ham, factors, np.kron, ident)
+    if np.abs(out.imag).max() <= 1e-14 * max(np.abs(out.real).max(), 1.0):
+        return np.ascontiguousarray(out.real)
+    return out
+
+
+def kron_reference_sparse(ham):
+    """The same sum with scipy.sparse.kron, real when imag <= 1e-14 absolute."""
+    dim = ham.local_dim ** ham.nsites
+    ident = scipy.sparse.identity(ham.local_dim, dtype=complex, format="coo")
+    out = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    for coeff, factors in ham.terms:
+        sparse_factors = [(s, scipy.sparse.coo_matrix(m)) for s, m in factors]
+        chain = _kron_chain(ham, sparse_factors,
+                            lambda a, b: scipy.sparse.kron(a, b, format="coo"), ident)
+        out = out + coeff * chain.tocsr()
+    imag_max = np.abs(out.imag.tocoo().data).max() if out.imag.nnz else 0.0
+    if imag_max <= 1e-14:
+        out = out.real
+    return out.tocsr()
+
+
+def same_bytes(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and np.array_equal(x.view(np.uint8), y.view(np.uint8)))
+
+
+def assert_matches_reference(ham, dense=True):
+    mat, ref = ham.sparse(), kron_reference_sparse(ham)
+    assert isinstance(mat, scipy.sparse.csr_matrix)
+    assert mat.has_sorted_indices
+    assert np.count_nonzero(mat.data == 0) == 0
+    assert mat.nnz == ref.nnz
+    assert same_bytes(mat.indptr, ref.indptr)
+    assert same_bytes(mat.indices, ref.indices)
+    assert same_bytes(mat.data, ref.data)
+    if dense:
+        assert same_bytes(ham.dense(), kron_reference_dense(ham))
+
+
+def _single_flip_model(n):
+    return KineticModel.single_flip(n, gamma=0.7, delta=0.2)
+
+
+ORACLE_BUILDERS = {
+    "xy-gamma-0.5": lambda: build_xy(0.5, 0.8, 8),
+    "xy-gamma-1": lambda: build_xy(1.0, 1.0, 8),
+    "aklt-periodic": lambda: build_aklt(5),
+    "aklt-open": lambda: build_aklt(5, "open"),
+    "mg": lambda: build_mg(8),
+    "cluster": lambda: build_cluster(-1, 7),
+    "tau-two-flip-6": lambda: build_h_tau_two_flip(TauSector.adjacent_pair_up(6), 0.4, 6),
+    "tau-two-flip-13": lambda: build_h_tau_two_flip(TauSector.adjacent_pair_up(13), 0.3, 13),
+    "tau-single-flip": lambda: build_h_tau_single_flip(TauSector.single_up(6),
+                                                       _single_flip_model(6)),
+    "beta-single-flip": lambda: build_h_beta_single_flip(_single_flip_model(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
+def test_assembly_is_bitwise_kronecker(name):
+    ham = ORACLE_BUILDERS[name]()
+    # dense references above dim 1024 cost gigabytes; the sparse one is exact there too
+    assert_matches_reference(ham, dense=ham.local_dim ** ham.nsites <= 1024)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_assembly_random_terms_bitwise(d):
+    rng = np.random.default_rng(d)
+    n = 4
+    ham = SpinHamiltonian(n, d, [], "open")
+    for _ in range(6):
+        sites = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+        factors = []
+        for s in sites:
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            factors.append((s, m * (rng.random((d, d)) < 0.6)))
+        ham.add(rng.normal(), factors)
+    assert_matches_reference(ham)
+    # a complex coefficient: the dense reference multiplies coeff * product too
+    ham.add(0.3 - 1.1j, [(1, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))])
+    assert same_bytes(ham.dense(), kron_reference_dense(ham))
+
+
+def test_assembly_constant_term():
+    ham = SpinHamiltonian(3, 2, [])
+    ham.add(2.5, [])
+    assert same_bytes(ham.dense(), 2.5 * np.eye(8))
+    ham.add(-0.5, [(1, PAULI_Z)])
+    assert_matches_reference(ham)
+    assert np.array_equal(np.diag(ham.dense()), 2.5 - 0.5 * np.array([1, 1, -1, -1] * 2))
+
+
+def test_assembly_wraps_periodic_boundary():
+    n = 5
+    ham = SpinHamiltonian(n, 2, [], "periodic")
+    ham.add(0.75, [(n - 1, PAULI_X), (n, PAULI_Z)])  # site n is site 0
+    target = 0.75 * kron(PAULI_Z, np.eye(8), PAULI_X).real
+    assert np.array_equal(ham.dense(), target)
+    assert np.array_equal(ham.sparse().toarray(), target)
+    assert_matches_reference(ham)
+
+
+def test_assembly_spin1_products():
+    s = spin1_matrices()
+    xy = s["x"] @ s["y"]
+    assert (np.count_nonzero(xy, axis=0) > 1).any()
+    ham = SpinHamiltonian(3, 3, [], "open")
+    ham.add(1.0 / 3.0, [(0, xy), (2, xy)])
+    ham.add(1.0 / 3.0, [(1, s["x"] @ s["x"]), (2, s["x"] @ s["x"])])
+    target = (kron(xy, np.eye(3), xy) + kron(np.eye(3), s["x"] @ s["x"], s["x"] @ s["x"])) / 3
+    assert np.abs(ham.dense() - target).max() <= 1e-15
+    assert_matches_reference(ham)
+
+
+def test_assembly_lone_y_stays_complex():
+    ham = SpinHamiltonian(3, 2, [])
+    ham.add(0.5, [(1, PAULI_Y)])
+    target = 0.5 * kron(np.eye(2), PAULI_Y, np.eye(2))
+    assert ham.dense().dtype == complex and ham.sparse().dtype == complex
+    assert np.array_equal(ham.dense(), target)
+    assert np.array_equal(ham.sparse().toarray(), target)
+    assert_matches_reference(ham)
+    # dense drops an imaginary part relative to the real scale, sparse only below 1e-14
+    ham = SpinHamiltonian(3, 2, [])
+    ham.add(100.0, [(0, PAULI_Z)])
+    ham.add(1e-13, [(1, PAULI_Y)])
+    assert ham.dense().dtype == float
+    assert ham.sparse().dtype == complex
+    assert_matches_reference(ham)
+    # a negligible lone Y: both turn real, and sparse stores none of the zeros
+    # the dropped imaginary parts leave behind (the Kronecker sum kept them)
+    ham = SpinHamiltonian(3, 2, [])
+    ham.add(1.0, [(0, PAULI_Z)])
+    ham.add(1e-16, [(1, PAULI_Y)])
+    mat, ref = ham.sparse(), kron_reference_sparse(ham)
+    assert mat.dtype == float and mat.nnz == 8 and np.count_nonzero(ref.data == 0) == 8
+    ref.eliminate_zeros()
+    assert same_bytes(mat.indptr, ref.indptr) and same_bytes(mat.indices, ref.indices)
+    assert same_bytes(mat.data, ref.data)
+    assert same_bytes(mat.toarray(), ham.dense())
+
+
+def test_assembly_single_site():
+    s = spin1_matrices()
+    ham = SpinHamiltonian(1, 3, [])
+    ham.add(0.5, [(0, s["x"] @ s["y"])])
+    ham.add(2.0, [])
+    ham.add(-1.0, [(0, s["z"])])
+    target = 0.5 * s["x"] @ s["y"] + 2.0 * np.eye(3) - s["z"]
+    assert np.abs(ham.dense() - target).max() <= 1e-15
+    assert_matches_reference(ham)

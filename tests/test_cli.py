@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from entlab.cli import main
+from entlab.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -169,3 +172,34 @@ def test_selftest_subset(tmp_path, capsys):
     assert "PASS maxent-measures" in out
     assert "PASS two-qubit-measures" in out
     assert (tmp_path / "selftest_report.txt").exists()
+
+
+def test_phi_grid_below_two_is_rejected(capsys):
+    for value in ("1", "0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["kinetic", "spectra", "--sites", "4", "--phi-grid", value])
+        assert exc.value.code == 2
+        assert "--phi-grid" in capsys.readouterr().err
+    args = build_parser().parse_args(["kinetic", "spectra", "--phi-grid", "2"])
+    assert args.phi_grid == 2
+
+
+def readme_commands():
+    """Every `entlab ...` command in the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("entlab "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 17
+    assert ["--seed", "7", "page", "--m", "2", "--n", "2", "--samples", "10000"] in commands
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert callable(args.fn), argv
