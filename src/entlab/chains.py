@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, lanczos_lowest
+from .linalg import (PAULI_X, PAULI_Y, PAULI_Z, NumericalError, ResourceLimitError,
+                     lanczos_lowest)
 from .states import (
     DensityMatrix,
     PureState,
@@ -51,10 +52,6 @@ from .states import (
 )
 
 DENSE_DIM_LIMIT = 4096
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested lattice exceeds the configured diagonalization budget."""
 
 
 def spin1_matrices() -> dict[str, np.ndarray]:
@@ -259,7 +256,7 @@ def ground_state(ham: SpinHamiltonian, k: int = 1, method: str = "auto",
     for i in range(k):
         resid = np.linalg.norm(op @ v[:, i] - w[i] * v[:, i])
         if resid > 1e-8 * scale:
-            raise RuntimeError(f"eigenpair residual {resid:.2e} too large")
+            raise NumericalError(f"eigenpair residual {resid:.2e} too large")
     return w, v
 
 

@@ -2,13 +2,21 @@
 
 Every subcommand maps one experiment to machine-readable output: tabular
 data goes to CSV (header row, LF endings, full double precision through
-``repr``), scalars and run metadata to JSON.  A manifest JSON accompanies
-each run; identical (config, seed) pairs produce byte-identical CSV bodies,
-only the manifest timestamp differs.
+``repr``), scalars and run metadata to JSON.  Identical (config, seed) pairs
+produce byte-identical CSV bodies.
+
+:func:`main` builds the tolerance table once, the defaults of
+:data:`entlab.selftest.TOLERANCES` with the ``--tol`` overrides applied, and
+passes it to the subcommand, which reads its thresholds from it.  Whenever
+the subcommand reaches a verdict (exit 0 or 1), ``main`` writes the run's
+manifest JSON from that same table; only its timestamp differs between
+identical runs.  The experiments that are also acceptance criteria (named
+states, the classical superposition kernel, sector-split evolution) are
+defined once, in :mod:`entlab.selftest`.
 
 Exit codes: 0 all embedded assertions passed; 1 an assertion failed (the
 first failing check is named on stderr); 2 invalid configuration;
-3 resource limit exceeded.
+3 resource limit exceeded; 4 numerical failure (a solver did not converge).
 """
 
 from __future__ import annotations
@@ -20,13 +28,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from . import __version__, chains, haar, kinetic, measures, mps, selftest, states
-from .chains import ResourceLimitError
 from .kinetic import KineticModel, TauSector
-from .mps import SizeLimitError
+from .linalg import NumericalError, ResourceLimitError
 
 
 class CheckFailure(RuntimeError):
@@ -61,15 +69,19 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_manifest(path: Path, command: str, params: dict, args) -> None:
-    params = {k: v for k, v in params.items()
+# manifest file names that do not follow from the command name
+MANIFEST_NAMES = {"kinetic-detailed-balance": "kinetic_db_manifest.json"}
+
+
+def write_manifest(path: Path, command: str, args, tol) -> None:
+    params = {k: v for k, v in vars(args).items()
               if k not in ("fn", "command", "kinetic_command") and not callable(v)}
     doc = {
         "command": command,
         "params": params,
         "seed": args.seed,
         "workers": args.workers,
-        "tolerances": dict(selftest.TOLERANCES),
+        "tolerances": dict(tol),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -86,11 +98,17 @@ def require(condition: bool, name: str, detail: str = "") -> None:
         raise CheckFailure(f"{name}: {detail}" if detail else name)
 
 
+def require_none(failed: list[str]) -> None:
+    """Raise for the first failed check a shared experiment reported."""
+    if failed:
+        raise CheckFailure(failed[0])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_measures(args, outdir: Path) -> dict:
+def cmd_measures(args, outdir: Path, tol) -> dict:
     if args.state == "bell":
         d = 2
     else:
@@ -105,17 +123,17 @@ def cmd_measures(args, outdir: Path) -> dict:
         "log_negativity": measures.log_negativity(rho),
         "concurrence": measures.concurrence_pure(psi),
     }
-    require(abs(doc["negativity"] - (d - 1) / 2) <= 1e-10, "negativity")
-    require(abs(doc["log_negativity"] - math.log2(d)) <= 1e-10, "log-negativity")
-    require(abs(doc["concurrence"] - math.sqrt(2 * (1 - 1 / d))) <= 1e-10, "concurrence")
+    limit = tol["maxent_measures"]
+    require(abs(doc["negativity"] - (d - 1) / 2) <= limit, "negativity")
+    require(abs(doc["log_negativity"] - math.log2(d)) <= limit, "log-negativity")
+    require(abs(doc["concurrence"] - math.sqrt(2 * (1 - 1 / d))) <= limit, "concurrence")
     if d == 2:
         doc["eof"] = measures.eof_2q(rho)
-        require(abs(doc["eof"] - 1.0) <= 1e-10, "eof")
-    write_manifest(outdir / "measures_manifest.json", "measures", vars(args), args)
+        require(abs(doc["eof"] - 1.0) <= limit, "eof")
     return doc
 
 
-def cmd_witness(args, outdir: Path) -> dict:
+def cmd_witness(args, outdir: Path, tol) -> dict:
     rho = states.DensityMatrix(
         (2, 2),
         args.p * states.max_entangled(2).projector().matrix + (1 - args.p) * np.eye(4) / 4,
@@ -133,11 +151,10 @@ def cmd_witness(args, outdir: Path) -> dict:
            "samples": args.samples}
     require(value < 0, "witness-detects-target", f"value {value}")
     require(minimum >= -1e-9, "witness-separable-positivity", f"min {minimum}")
-    write_manifest(outdir / "witness_manifest.json", "witness", vars(args), args)
     return doc
 
 
-def cmd_maps(args, outdir: Path) -> dict:
+def cmd_maps(args, outdir: Path, tol) -> dict:
     d = args.d
     if d < 2:
         raise ConfigError("dimension must be at least 2")
@@ -159,15 +176,15 @@ def cmd_maps(args, outdir: Path) -> dict:
         "transposition_cp": measures.is_completely_positive(measures.transposition_map(d)),
         "reduction_cp": measures.is_completely_positive(red),
     }
-    require(detect < -1e-9, "reduction-detects-entanglement")
-    require(choi_red < -1e-9, "reduction-choi-not-psd")
-    require(choi_uni >= -1e-9, "unitary-choi-psd")
+    psd = tol["choi_psd"]
+    require(detect < -psd, "reduction-detects-entanglement")
+    require(choi_red < -psd, "reduction-choi-not-psd")
+    require(choi_uni >= -psd, "unitary-choi-psd")
     require(not doc["transposition_cp"], "transposition-not-cp")
-    write_manifest(outdir / "maps_manifest.json", "maps", vars(args), args)
     return doc
 
 
-def cmd_page(args, outdir: Path) -> dict:
+def cmd_page(args, outdir: Path, tol) -> dict:
     if args.m > args.n:
         raise ConfigError("requires m <= n")
     exact = haar.mean_entropy_exact(args.m, args.n)
@@ -180,23 +197,21 @@ def cmd_page(args, outdir: Path) -> dict:
         "approx_nats": haar.mean_entropy_approx(args.m, args.n),
         "mc_mean_nats": mean, "mc_stderr_nats": err, "z": z,
     }
-    require(z <= 3.0, "page-mc-consistency", f"z = {z:.2f}")
-    write_manifest(outdir / "page_manifest.json", "page", vars(args), args)
+    require(z <= tol["haar_sigma"], "page-mc-consistency", f"z = {z:.2f}")
     return doc
 
 
-def cmd_lubkin(args, outdir: Path) -> dict:
+def cmd_lubkin(args, outdir: Path, tol) -> dict:
     exact = haar.mean_purity_exact(args.m, args.n)
     mean, err = haar.mean_purity_mc(args.m, args.n, args.samples, seed=args.seed)
     z = abs(mean - exact) / err if err > 0 else 0.0
     doc = {"m": args.m, "n": args.n, "samples": args.samples,
            "exact": exact, "mc_mean": mean, "mc_stderr": err, "z": z}
-    require(z <= 3.0, "lubkin-mc-consistency", f"z = {z:.2f}")
-    write_manifest(outdir / "lubkin_manifest.json", "lubkin", vars(args), args)
+    require(z <= tol["haar_sigma"], "lubkin-mc-consistency", f"z = {z:.2f}")
     return doc
 
 
-def cmd_mps(args, outdir: Path) -> dict:
+def cmd_mps(args, outdir: Path, tol) -> dict:
     rng = np.random.default_rng(args.seed)
     if args.action == "roundtrip":
         psi = states.random_pure((2,) * args.sites, rng)
@@ -207,8 +222,7 @@ def cmd_mps(args, outdir: Path) -> dict:
         doc = {"sites": args.sites, "dmax": args.dmax, "fidelity": fidelity,
                "bond_dims": state.bond_dims, **defects}
         if args.dmax is None or args.dmax >= 2 ** (args.sites // 2):
-            require(fidelity >= 1 - 1e-10, "roundtrip-fidelity", f"{fidelity}")
-        write_manifest(outdir / "mps_manifest.json", "mps", vars(args), args)
+            require(fidelity >= 1 - tol["mps_roundtrip"], "roundtrip-fidelity", f"{fidelity}")
         return doc
     if args.action == "truncate":
         psi = states.random_pure((2,) * args.sites, rng)
@@ -220,95 +234,29 @@ def cmd_mps(args, outdir: Path) -> dict:
         doc = {"sites": args.sites, "dmax": args.dmax, "bound": report.bound,
                "distance_sq": actual, "csv": str(outdir / "mps_truncate.csv")}
         require(actual <= report.bound + 1e-10, "truncation-bound", f"{actual} > {report.bound}")
-        write_manifest(outdir / "mps_manifest.json", "mps", vars(args), args)
         return doc
     # named states: build, verify the defining property, optionally save
-    builders = {
-        "ghz": mps.ghz_mps, "af-ghz": mps.antiferro_ghz_mps, "aklt": mps.aklt_mps,
-        "mg": mps.majumdar_ghosh_mps, "cluster": mps.cluster_mps,
-    }
-    if args.state not in builders:
+    if args.state not in selftest.NAMED_STATES:
         raise ConfigError(f"unknown state {args.state}")
-    state = builders[args.state](args.sites)
+    state = selftest.NAMED_STATES[args.state](args.sites)
+    values, failed = selftest.verify_named_state(args.state, state, tol)
     doc = {"state": args.state, "sites": args.sites, "bond_dims": state.bond_dims,
-           "scale": abs(state.scale)}
-    doc.update(_verify_named_state(args.state, state, args.sites))
+           "scale": abs(state.scale), **values}
+    require_none(failed)
     if args.save:
         mps.save_mps(state, args.save)
         doc["saved"] = args.save
-    write_manifest(outdir / "mps_manifest.json", "mps", vars(args), args)
     return doc
 
 
-def _verify_named_state(name: str, state, n: int) -> dict:
-    """Check the property that defines each example state, where feasible."""
-    from .linalg import PAULI_X, PAULI_Z, lanczos_lowest
-
-    if name in ("ghz", "af-ghz"):
-        psi, _ = state.to_dense()
-        target = np.zeros(2 ** n, dtype=complex)
-        if name == "ghz":
-            target[0] = target[-1] = 1 / math.sqrt(2)
-        else:
-            odd = int("01" * (n // 2), 2)
-            even = int("10" * (n // 2), 2)
-            target[odd] = target[even] = 1 / math.sqrt(2)
-        dev = min(np.linalg.norm(psi.amplitudes - target),
-                  np.linalg.norm(psi.amplitudes + target))
-        require(dev <= 1e-10, "named-state-dense-form", f"deviation {dev:.1e}")
-        return {"dense_form_deviation": float(dev)}
-    if name == "cluster":
-        vals = [mps.expectation(state, {(i - 1) % n: PAULI_Z, i: PAULI_X,
-                                        (i + 1) % n: PAULI_Z}).real
-                for i in range(n)]
-        dev = float(np.abs(np.asarray(vals) - mps.CLUSTER_STABILIZER_SIGN).max())
-        require(dev <= 1e-10, "cluster-stabilizers", f"deviation {dev:.1e}")
-        return {"stabilizer_sign": mps.CLUSTER_STABILIZER_SIGN,
-                "stabilizer_deviation": dev}
-    # aklt / mg: ground-state residual against exact diagonalization
-    builder = chains.build_aklt if name == "aklt" else chains.build_mg
-    dim = (3 if name == "aklt" else 2) ** n
-    if dim > 2 ** 14:
-        return {"verified": False, "reason": "chain too long for the exact oracle"}
-    ham = builder(n)
-    op = ham.dense() if dim <= 2048 else ham.sparse()
-    psi, _ = state.to_dense()
-    if dim <= 2048:
-        e0 = float(np.linalg.eigvalsh(op)[0])
-    else:
-        e0 = float(lanczos_lowest(op, k=1, seed=0)[0])
-    resid = float(np.linalg.norm(op @ psi.amplitudes - e0 * psi.amplitudes))
-    require(resid <= 1e-8, "named-state-residual", f"residual {resid:.1e}")
-    return {"ground_energy": e0, "eigen_residual": resid}
-
-
-def cmd_classical_superposition(args, outdir: Path) -> dict:
-    n, beta, jcoup = args.sites, args.beta, args.coupling
-    state = mps.classical_superposition_mps(lambda a, b: -jcoup * a * b, beta, n)
-    psi, _ = state.to_dense()
-    energies = kinetic.ising_energies(n, jcoup)
-    target = np.exp(-0.5 * beta * (energies - energies.min()))
-    target /= np.linalg.norm(target)
-    amp = psi.amplitudes
-    phase = amp[np.argmax(np.abs(amp))] / target[np.argmax(np.abs(amp))]
-    deviation = float(np.abs(amp - phase * target).max())
-    model = KineticModel.single_flip(n, gamma=math.tanh(2 * beta * jcoup),
-                                     delta=0.0, coupling=jcoup)
-    h = kinetic.symmetrize(model)
-    w, v = np.linalg.eigh(h)
-    overlap = float(abs(np.vdot(v[:, 0], target)))
-    doc = {"sites": n, "beta": beta, "coupling": jcoup,
-           "amplitude_deviation": deviation, "ground_energy": float(w[0]),
-           "kernel_overlap": overlap}
-    require(deviation <= 1e-10, "gibbs-amplitudes", f"{deviation}")
-    require(abs(w[0]) <= 1e-10, "kernel-eigenvalue", f"{w[0]}")
-    require(overlap >= 1 - 1e-10, "kernel-overlap", f"{overlap}")
-    write_manifest(outdir / "classical_superposition_manifest.json",
-                   "classical-superposition", vars(args), args)
+def cmd_classical_superposition(args, outdir: Path, tol) -> dict:
+    values, failed = selftest.classical_superposition(args.sites, args.beta, args.coupling, tol)
+    doc = {"sites": args.sites, "beta": args.beta, "coupling": args.coupling, **values}
+    require_none(failed)
     return doc
 
 
-def cmd_arealaw(args, outdir: Path) -> dict:
+def cmd_arealaw(args, outdir: Path, tol) -> dict:
     blocks = list(range(args.nmin, args.nmax + 1))
     if not blocks or blocks[-1] >= args.sites:
         raise ConfigError("block range must fit inside the chain")
@@ -325,11 +273,11 @@ def cmd_arealaw(args, outdir: Path) -> dict:
     if args.expect_slope is not None:
         require(abs(scan.slope - args.expect_slope) <= args.slope_tol,
                 "slope", f"{scan.slope:.4f} vs {args.expect_slope} +- {args.slope_tol}")
-    write_manifest(outdir / "arealaw_manifest.json", "arealaw", vars(args), args)
     return doc
 
 
-def cmd_mutualinfo(args, outdir: Path) -> dict:
+def cmd_mutualinfo(args, outdir: Path, tol) -> dict:
+    slack = tol["mutual_info_slack"]
     if args.kind == "quantum":
         ham = chains.build_xy(args.gamma, args.h, args.sites)
         info, boundary, simple = chains.mutual_info_area_check(ham, args.beta, args.cut)
@@ -340,8 +288,8 @@ def cmd_mutualinfo(args, outdir: Path) -> dict:
                    "I_nats", "boundary_bound_nats", "simple_bound_nats"], rows)
         doc = {"I_nats": info, "boundary_bound_nats": boundary,
                "simple_bound_nats": simple, "csv": str(outdir / "mutualinfo.csv")}
-        require(info <= boundary + 1e-9, "mutual-info-boundary-bound")
-        require(boundary <= simple + 1e-9, "boundary-vs-simple-bound")
+        require(info <= boundary + slack, "mutual-info-boundary-bound")
+        require(boundary <= simple + slack, "boundary-vs-simple-bound")
     else:
         info, bound, gap = chains.classical_gibbs_mutual_info(
             lambda a, b: -args.coupling * a * b, args.beta, args.sites, args.cut)
@@ -352,13 +300,12 @@ def cmd_mutualinfo(args, outdir: Path) -> dict:
                    "boundary_identity_gap"], rows)
         doc = {"I_bits": info, "area_bound_bits": bound,
                "boundary_identity_gap": gap, "csv": str(outdir / "mutualinfo.csv")}
-        require(info <= bound + 1e-9, "classical-area-bound")
-        require(gap <= 1e-9, "boundary-identity")
-    write_manifest(outdir / "mutualinfo_manifest.json", "mutualinfo", vars(args), args)
+        require(info <= bound + slack, "classical-area-bound")
+        require(gap <= slack, "boundary-identity")
     return doc
 
 
-def cmd_kinetic_spectra(args, outdir: Path) -> dict:
+def cmd_kinetic_spectra(args, outdir: Path, tol) -> dict:
     n = args.sites
     sectors = [TAU_PATTERNS[p](n) for p in args.tau_pattern]
     if args.model == "two-flip":
@@ -385,70 +332,49 @@ def cmd_kinetic_spectra(args, outdir: Path) -> dict:
         # the exact double degeneracy of this sector is protected only when
         # the ring length is a multiple of four (it splits at N = 10, 14, ...)
         if n % 4 == 0:
-            require(worst <= 1e-8, "pair-up-degeneracy", f"ground split {worst:.1e}")
-    write_manifest(outdir / "kinetic_spectra_manifest.json", "kinetic-spectra",
-                   vars(args), args)
+            require(worst <= tol["pair_sector_gap"], "pair-up-degeneracy",
+                    f"ground split {worst:.1e}")
     return doc
 
 
-def cmd_kinetic_evolve(args, outdir: Path) -> dict:
-    if args.sites > 7:
-        raise ResourceLimitError("the oracle comparison is limited to 7 sites")
-    model = KineticModel.two_flip(args.sites, beta=args.beta)
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.initial_states):
-        rho0 = states.random_density((2,) * args.sites, rng)
-        a = kinetic.sector_split_evolve(rho0, model, args.t)
-        b = kinetic.direct_evolve(rho0, model, args.t)
-        dist = 0.5 * float(np.abs(np.linalg.svd(a.matrix - b.matrix,
-                                                compute_uv=False)).sum())
-        worst = max(worst, dist)
+def cmd_kinetic_evolve(args, outdir: Path, tol) -> dict:
+    values, failed = selftest.sector_evolution(args.sites, args.beta, (args.t,),
+                                               args.initial_states, args.seed, tol)
     doc = {"sites": args.sites, "beta": args.beta, "t": args.t,
-           "initial_states": args.initial_states, "max_trace_distance": worst}
-    require(worst <= 1e-8, "sector-vs-direct", f"trace distance {worst:.1e}")
-    write_manifest(outdir / "kinetic_evolve_manifest.json", "kinetic-evolve",
-                   vars(args), args)
+           "initial_states": args.initial_states, **values}
+    require_none(failed)
     return doc
 
 
-def cmd_kinetic_detailed_balance(args, outdir: Path) -> dict:
+def cmd_kinetic_detailed_balance(args, outdir: Path, tol) -> dict:
     if args.model == "two-flip":
         model = KineticModel.two_flip(args.sites, beta=args.beta)
     else:
         model = KineticModel.single_flip(args.sites, beta=args.beta, delta=args.delta)
-    ok, worst = kinetic.check_detailed_balance(model)
+    ok, worst = kinetic.check_detailed_balance(model, tol["detailed_balance"])
     doc = {"model": args.model, "sites": args.sites, "beta": args.beta,
            "passes": ok, "max_violation": worst}
     require(ok, "detailed-balance", f"violation {worst:.1e}")
-    write_manifest(outdir / "kinetic_db_manifest.json", "kinetic-detailed-balance",
-                   vars(args), args)
     return doc
 
 
-def cmd_selftest(args, outdir: Path) -> dict:
-    only = set(args.only.split(",")) if args.only else None
-    failures = []
+def cmd_selftest(args, outdir: Path, tol) -> dict:
+    only = args.only.split(",") if args.only else None
     lines = []
-
-    def report(line):
-        lines.append(line)
-        print(line)
-
+    failure = None
     for key, fn in selftest.REGISTRY:
         if only and key not in only:
             continue
-        res = fn()
-        report(f"[{key:>2}] {res.line()}")
+        res = fn(tol)
+        lines.append(f"[{key:>2}] {res.line()}")
+        print(lines[-1])
         if not res.passed:
-            failures.append((key, res))
+            failure = f"criterion {key}: {res.details}"
             break  # fail loudly on the first violation
     with open(outdir / "selftest_report.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_manifest(outdir / "selftest_manifest.json", "selftest", vars(args), args)
-    if failures:
-        key, res = failures[0]
-        raise CheckFailure(f"criterion {key}: {res.details}")
+    if failure:
+        raise CheckFailure(failure)
     return {"checks": len(lines), "report": str(outdir / "selftest_report.txt")}
 
 
@@ -464,6 +390,15 @@ def _grid_points(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError(f"needs at least 2 points, got {value}")
     return value
+
+
+def _criteria(text: str) -> str:
+    known = [key for key, _ in selftest.REGISTRY]
+    unknown = [key for key in text.split(",") if key not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown criteria {','.join(unknown)}; known: {','.join(known)}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,40 +508,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kinetic_detailed_balance)
 
     p = sub.add_parser("selftest", help="run every acceptance criterion")
-    p.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    p.add_argument("--only", type=_criteria, default=None,
+                   help="comma-separated criterion numbers")
     p.set_defaults(fn=cmd_selftest)
 
     return parser
 
 
-def apply_tolerance_overrides(entries) -> None:
+def tolerance_table(entries) -> MappingProxyType:
+    """The default tolerances with each ``NAME=VALUE`` override applied."""
+    table = dict(selftest.TOLERANCES)
     for entry in entries:
-        name, _, value = entry.partition("=")
-        if name not in selftest.TOLERANCES or not value:
-            known = ", ".join(sorted(selftest.TOLERANCES))
+        name, _, text = entry.partition("=")
+        if name not in table:
+            known = ", ".join(sorted(table))
             raise ConfigError(f"unknown tolerance {name!r}; known: {known}")
-        selftest.TOLERANCES[name] = float(value)
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {text!r}")
+        table[name] = value
+    return MappingProxyType(table)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     outdir = Path(args.out or os.environ.get("ENTLAB_OUTDIR", "."))
+    command = args.command
+    if command == "kinetic":
+        command += "-" + args.kinetic_command
+    manifest = outdir / MANIFEST_NAMES.get(command, command.replace("-", "_") + "_manifest.json")
     try:
-        apply_tolerance_overrides(args.tol)
+        tol = tolerance_table(args.tol)
         outdir.mkdir(parents=True, exist_ok=True)
-        doc = args.fn(args, outdir)
+        try:
+            doc = args.fn(args, outdir, tol)
+        except CheckFailure as exc:
+            doc = None
+            print(f"FAIL {exc}", file=sys.stderr)
+        write_manifest(manifest, command, args, tol)
+        if doc is None:
+            return 1
         emit_json(doc)
         return 0
-    except CheckFailure as exc:
-        print(f"FAIL {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceLimitError, SizeLimitError) as exc:
+    except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:  # ConfigError included
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ to a block yields the entropy through its Williamson spectrum.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
+
+from .states import binary_entropy
 
 
 def majorana_quadratic(gamma: float, h: float, n: int, boundary_sign: float) -> np.ndarray:
@@ -111,21 +111,13 @@ def xy_ground_covariance(gamma: float, h: float, n: int,
     return e_odd, cov_odd
 
 
-def _binary_entropy_bits(x: float) -> float:
-    out = 0.0
-    for v in (x, 1.0 - x):
-        if v > 1e-14:
-            out -= v * math.log2(v)
-    return out
-
-
 def block_entropy_bits(cov: np.ndarray, n_block: int) -> float:
     """Entropy (bits) of the first ``n_block`` sites of a Gaussian state."""
     sub = cov[: 2 * n_block, : 2 * n_block]
     w = np.linalg.eigvalsh(1j * sub).real
     # eigenvalues come in +-nu pairs; summing H((1+w)/2) over all of them
     # counts every pair exactly once
-    return 0.5 * float(sum(_binary_entropy_bits((1.0 + v) / 2.0) for v in np.clip(w, -1, 1)))
+    return 0.5 * float(sum(binary_entropy((1.0 + v) / 2.0) for v in np.clip(w, -1, 1)))
 
 
 def xy_entropy_free_fermion(gamma: float, h: float, n: int, blocks,

@@ -51,8 +51,9 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .chains import ResourceLimitError, SpinHamiltonian
-from .linalg import PAULI_X, PAULI_Z, check_hermitian, lanczos_lowest
+from .chains import SpinHamiltonian
+from .linalg import (PAULI_X, PAULI_Z, NumericalError, ResourceLimitError, check_hermitian,
+                     lanczos_lowest)
 from .states import DensityMatrix
 
 
@@ -332,7 +333,7 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     h = check_hermitian(h)
     w = np.linalg.eigvalsh(h)
     if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise RuntimeError(f"symmetrized generator has negative eigenvalue {w[0]:.2e}")
+        raise NumericalError(f"symmetrized generator has negative eigenvalue {w[0]:.2e}")
     return h
 
 

@@ -34,6 +34,14 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
+class ResourceLimitError(RuntimeError):
+    """Requested computation exceeds its configured size budget."""
+
+
+class NumericalError(RuntimeError):
+    """A solver failed numerically: no convergence or a residual too large."""
+
+
 class NotHermitianError(ValueError):
     """Input failed the Hermiticity check; carries the max asymmetry."""
 
@@ -235,7 +243,7 @@ def lanczos_lowest(
             m += 1
 
         if not converged:
-            raise RuntimeError(
+            raise NumericalError(
                 f"Lanczos did not converge within {maxiter} iterations "
                 f"(last residual above {tol:g} * scale)"
             )

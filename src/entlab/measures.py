@@ -32,6 +32,7 @@ from .linalg import check_hermitian, hermitian_eig, kron, trace_norm
 from .states import (
     DensityMatrix,
     PureState,
+    binary_entropy,
     max_entangled,
     partial_transpose,
     partial_transpose_matrix,
@@ -94,15 +95,6 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     lam.sort()
     lam = lam[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
-    out = 0.0
-    for v in (x, 1.0 - x):
-        if v > 0.0:
-            out -= v * np.log2(v)
-    return out
 
 
 def eof_2q(rho: DensityMatrix) -> float:

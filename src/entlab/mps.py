@@ -37,17 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, svd
+from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, ResourceLimitError, svd
 from .states import SCHMIDT_CUTOFF, PureState, entropy_from_probabilities
 
 DENSE_SITE_LIMIT = 16
 
 # sign of <Z X Z> on the cluster-state matrices below, fixed by measurement
 CLUSTER_STABILIZER_SIGN = -1
-
-
-class SizeLimitError(RuntimeError):
-    """Dense reconstruction of this many sites is out of budget."""
 
 
 @dataclass
@@ -93,7 +89,7 @@ class MatrixProductState:
         """Raw contraction times scale (no normalization)."""
         n = self.nsites
         if self.local_dim ** n > 2 ** max_sites:
-            raise SizeLimitError(
+            raise ResourceLimitError(
                 f"{self.local_dim}^{n} amplitudes exceed the dense budget 2^{max_sites}"
             )
         acc = None
@@ -477,27 +473,3 @@ def save_mps(mps: MatrixProductState, path) -> None:
 def load_mps(path) -> MatrixProductState:
     with open(path, encoding="utf-8") as fh:
         return from_json_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class ProjectedEntangledPairState:
-    """Scaffold for a 2-d tensor grid (physical leg + 4 virtual legs per site).
-
-    Only shape bookkeeping; no contraction operations are provided.
-    """
-
-    tensors: tuple  # tuple of rows, each a tuple of ndarray (d, up, down, left, right)
-
-    def __post_init__(self):
-        rows = self.tensors
-        ncols = len(rows[0])
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged grid")
-            for c, t in enumerate(row):
-                if t.ndim != 5:
-                    raise ValueError("site tensors must have 5 legs")
-                if c + 1 < ncols and t.shape[4] != row[c + 1].shape[3]:
-                    raise ValueError("horizontal bonds do not match")
-                if r + 1 < len(rows) and t.shape[2] != rows[r + 1][c].shape[1]:
-                    raise ValueError("vertical bonds do not match")

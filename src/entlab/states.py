@@ -14,6 +14,7 @@ eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,15 @@ def entropy_from_probabilities(p: np.ndarray, base=2) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 0]
     return max(float(-(p * log(p)).sum()), 0.0)
+
+
+def binary_entropy(x: float) -> float:
+    """H(x) = -x log2 x - (1-x) log2 (1-x) in bits; terms below 1e-14 count as 0."""
+    out = 0.0
+    for v in (x, 1.0 - x):
+        if v > 1e-14:
+            out -= v * math.log2(v)
+    return out
 
 
 def von_neumann_entropy(rho: DensityMatrix, base=2) -> float:

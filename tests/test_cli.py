@@ -154,16 +154,82 @@ def test_kinetic_commands(tmp_path, capsys):
 
 
 def test_tolerance_override_logged(tmp_path, capsys):
-    import entlab.selftest as st
+    from entlab.selftest import TOLERANCES
 
-    before = st.TOLERANCES["maxent_measures"]
-    try:
-        assert run(tmp_path, "--tol", "maxent_measures=1e-9", "measures", "bell") == 0
-        manifest = json.loads((tmp_path / "measures_manifest.json").read_text())
-        assert manifest["tolerances"]["maxent_measures"] == 1e-9
-    finally:
-        st.TOLERANCES["maxent_measures"] = before
+    defaults = dict(TOLERANCES)
+    assert run(tmp_path, "--tol", "maxent_measures=1e-9", "--tol", "haar_sigma=4",
+               "measures", "bell") == 0
+    manifest = json.loads((tmp_path / "measures_manifest.json").read_text())
+    assert manifest["tolerances"] == {**defaults, "maxent_measures": 1e-9, "haar_sigma": 4.0}
+    # a second run in the same process starts from the defaults again
+    assert run(tmp_path, "measures", "bell") == 0
+    manifest = json.loads((tmp_path / "measures_manifest.json").read_text())
+    assert manifest["tolerances"] == defaults == dict(TOLERANCES)
+    with pytest.raises(TypeError):
+        TOLERANCES["maxent_measures"] = 1.0
     assert run(tmp_path, "--tol", "not_a_tolerance=1", "measures", "bell") == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "abc", ""])
+def test_tolerance_value_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    assert run(tmp_path, "--tol", f"maxent_measures={value}", "measures", "bell") == 2
+    assert "maxent_measures" in capsys.readouterr().err
+    assert not (tmp_path / "measures_manifest.json").exists()
+
+
+def test_commands_read_thresholds_from_the_table(tmp_path, capsys):
+    # the MG residual is about 1e-14: it passes the default and fails 1e-30
+    assert run(tmp_path, "--tol", "named_state_residual=1e-30",
+               "mps", "named", "--state", "mg", "--sites", "6") == 1
+    assert "named-state-residual" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "mps_manifest.json").read_text())
+    assert manifest["tolerances"]["named_state_residual"] == 1e-30
+    assert run(tmp_path, "--tol", "maxent_measures=0", "measures", "maxent", "--d", "3") == 1
+    assert run(tmp_path, "--tol", "classical_superposition=0",
+               "classical-superposition", "--sites", "4") == 1
+    assert run(tmp_path, "--tol", "evolution_trace_distance=0", "kinetic", "evolve",
+               "--sites", "4", "--initial-states", "1") == 1
+    assert json.loads((tmp_path / "kinetic_evolve_manifest.json").read_text())[
+        "command"] == "kinetic-evolve"
+
+
+def test_selftest_stops_at_first_failure(tmp_path, capsys):
+    assert run(tmp_path, "--tol", "two_qubit_consistency=1e-30",
+               "selftest", "--only", "2,3") == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and "FAIL two-qubit-measures" in out
+    assert (tmp_path / "selftest_report.txt").read_text() == out
+    assert (tmp_path / "selftest_manifest.json").exists()
+
+
+def test_unknown_selftest_criterion_is_rejected(capsys):
+    for value in ("99", "1,99", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--only", value])
+        assert exc.value.code == 2
+        assert "--only" in capsys.readouterr().err
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import entlab.selftest as st
+    from entlab.linalg import NumericalError
+
+    def not_converged(*args, **kwargs):
+        raise NumericalError("Lanczos did not converge within 1 iterations")
+
+    def lapack_failure(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(st, "lanczos_lowest", not_converged)
+    assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "8") == 4
+    assert "did not converge" in capsys.readouterr().err
+    monkeypatch.setattr(np.linalg, "eigh", lapack_failure)
+    assert run(tmp_path, "classical-superposition", "--sites", "4") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "Traceback" not in err
+    assert not (tmp_path / "classical_superposition_manifest.json").exists()
 
 
 def test_selftest_subset(tmp_path, capsys):

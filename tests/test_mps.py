@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from entlab.linalg import PAULI_X, PAULI_Z
+from entlab.linalg import PAULI_X, PAULI_Z, ResourceLimitError
 from entlab.mps import (
     CLUSTER_STABILIZER_SIGN,
     MatrixProductState,
-    ProjectedEntangledPairState,
-    SizeLimitError,
     antiferro_ghz_mps,
     block_entropy,
     canonical_defects,
@@ -347,7 +345,7 @@ def test_classical_superposition_area_law():
 
 def test_dense_limit_guard():
     mps = ghz_mps(18)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ResourceLimitError):
         mps.to_dense()
 
 
@@ -365,13 +363,3 @@ def test_json_roundtrip_lossless():
     for a, b in zip(back.lambdas, mps.lambdas):
         assert np.array_equal(a, b)
 
-
-def test_peps_scaffold_validation():
-    rng = np.random.default_rng(9)
-    t = rng.standard_normal((2, 1, 3, 1, 2))
-    good = ((t, rng.standard_normal((2, 1, 3, 2, 1))),
-            (rng.standard_normal((2, 3, 1, 1, 2)), rng.standard_normal((2, 3, 1, 2, 1))))
-    ProjectedEntangledPairState(good)
-    bad = ((t, rng.standard_normal((2, 1, 3, 5, 1))),)
-    with pytest.raises(ValueError):
-        ProjectedEntangledPairState(bad)
