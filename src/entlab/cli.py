@@ -382,14 +382,17 @@ def cmd_selftest(args, outdir: Path, tol) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
-def _grid_points(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"needs at least 2 points, got {value}")
-    return value
+def _int_at_least(floor: int, unit: str):
+    """argparse type for an integer count of ``unit`` no smaller than ``floor``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"needs at least {floor} {unit}, got {value}")
+        return value
+    return parse
 
 
 def _criteria(text: str) -> str:
@@ -422,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="witness from a partial transpose")
     p.add_argument("--p", type=float, default=1.0, help="mixing weight of the target")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1, "samples"), default=1000)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("maps", help="positive-map and Choi-matrix checks")
@@ -432,13 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("page", help="mean entanglement entropy of random states")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_int_at_least(haar.MIN_SAMPLES, "samples"),
+                   default=10_000)
     p.set_defaults(fn=cmd_page)
 
     p = sub.add_parser("lubkin", help="mean reduced purity of random states")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_int_at_least(haar.MIN_SAMPLES, "samples"),
+                   default=10_000)
     p.set_defaults(fn=cmd_lubkin)
 
     p = sub.add_parser("mps", help="matrix product state engine")
@@ -486,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=16)
     p.add_argument("--tau-pattern", nargs="+", choices=sorted(TAU_PATTERNS),
                    default=["pair-up"])
-    p.add_argument("--phi-grid", type=_grid_points, default=9,
+    p.add_argument("--phi-grid", type=_int_at_least(2, "points"), default=9,
                    help="number of phi values on [0, pi/4], at least 2")
     p.add_argument("--gamma-grid", default="0.9,0.99,0.999")
     p.add_argument("--levels", type=int, default=4)

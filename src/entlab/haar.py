@@ -18,7 +18,10 @@ ln m - <S> decays like m/2n.
 
 Units: closed forms are natural-log (nats); ``nats_to_bits`` converts.
 Sampling is seed-deterministic, and Monte Carlo runs can be split across
-independent substreams derived from (seed, worker index).
+independent substreams derived from (seed, worker index).  Draws are made
+and decomposed in blocks of up to ``MC_BLOCK``: one normal draw and one
+stacked SVD per block.  The stream and every per-draw value are identical
+to drawing one sample at a time, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ import numpy as np
 from .states import PureState
 
 LN2 = math.log(2.0)
+
+# draws per sampling block; bounds the memory of one block's normals and SVD
+MC_BLOCK = 256
+# fewest draws for which a Monte Carlo mean and its standard error are reported
+MIN_SAMPLES = 100
 
 
 def nats_to_bits(x: float) -> float:
@@ -52,12 +60,38 @@ def haar_pure(m: int, n: int, seed_or_rng) -> PureState:
     return PureState((m, n), g.ravel())
 
 
-def _reduced_spectrum(m: int, n: int, rng) -> np.ndarray:
-    """Eigenvalues of rho_A for one Haar draw, via SVD of the m x n amplitudes."""
-    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+def _reduced_spectrum(m: int, n: int, rng, count: int = 1) -> np.ndarray:
+    """Eigenvalues of rho_A for ``count`` Haar draws, one row per draw.
+
+    One ``(count, 2, m, n)`` normal draw yields the same numbers in the same
+    order as ``count`` successive real and imaginary ``(m, n)`` draws, and the
+    stacked SVD runs the same LAPACK routine on each matrix, so every row
+    equals the spectrum of the corresponding single draw bit for bit.
+    """
+    z = rng.standard_normal((count, 2, m, n))
+    g = z[:, 0] + 1j * z[:, 1]
     s = np.linalg.svd(g, compute_uv=False)
     p = s * s
-    return p / p.sum()
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _block_counts(samples: int) -> list[int]:
+    """Draws per block: MC_BLOCK each, the last block takes the remainder."""
+    return [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
+
+
+def _spectrum_blocks(m: int, n: int, rng, samples: int) -> list[np.ndarray]:
+    """Reduced spectra of ``samples`` successive draws from ``rng``, one array per block."""
+    return [_reduced_spectrum(m, n, rng, count) for count in _block_counts(samples)]
+
+
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row of ``p``, with 0 log 0 = 0."""
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
+def _purities(p: np.ndarray) -> np.ndarray:
+    return (p * p).sum(axis=1)
 
 
 def mean_purity_exact(m: int, n: int) -> float:
@@ -86,9 +120,6 @@ def mean_entropy_approx(m: int, n: int) -> float:
     return math.log(m) - m / (2.0 * n)
 
 
-MC_BLOCK = 256
-
-
 def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
                     workers: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of <S(rho_A)> in nats, with its standard error.
@@ -98,23 +129,16 @@ def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
     concurrently.  The estimate therefore depends on (m, n, samples, seed)
     alone, not on the worker count or the scheduling.
     """
-    if samples < 100:
-        raise ValueError("use at least 100 samples")
-    nblocks = -(-samples // MC_BLOCK)
-    counts = [min(MC_BLOCK, samples - b * MC_BLOCK) for b in range(nblocks)]
-    streams = np.random.SeedSequence(seed).spawn(nblocks)
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} samples")
+    counts = _block_counts(samples)
+    streams = np.random.SeedSequence(seed).spawn(len(counts))
 
     def run_block(task):
         count, stream = task
-        rng = np.random.default_rng(stream)
-        total = total_sq = 0.0
-        for _ in range(count):
-            p = _reduced_spectrum(m, n, rng)
-            p = p[p > 0]
-            s = float(-(p * np.log(p)).sum())
-            total += s
-            total_sq += s * s
-        return total, total_sq
+        s = _entropies(_reduced_spectrum(m, n, np.random.default_rng(stream), count))
+        # running sums in draw order, as a scalar loop would add them
+        return float(np.cumsum(s)[-1]), float(np.cumsum(s * s)[-1])
 
     tasks = list(zip(counts, streams))
     if workers > 1:
@@ -134,12 +158,18 @@ def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
 
 def mean_purity_mc(m: int, n: int, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of <tr rho_A^2> with its standard error."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"use at least {MIN_SAMPLES} samples")
     rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
-    for i in range(samples):
-        p = _reduced_spectrum(m, n, rng)
-        vals[i] = float((p * p).sum())
+    vals = np.concatenate([_purities(p) for p in _spectrum_blocks(m, n, rng, samples)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+def sample_statistics(m: int, n: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Purity and entropy (nats) of each of ``samples`` draws from one stream."""
+    blocks = _spectrum_blocks(m, n, rng, samples)
+    return (np.concatenate([_purities(p) for p in blocks]),
+            np.concatenate([_entropies(p) for p in blocks]))
 
 
 def log_density_constant(m: int, n: int) -> float:

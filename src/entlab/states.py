@@ -294,21 +294,46 @@ def random_schmidt_rank_state(da: int, db: int, rank: int, rng,
     return PureState((da, db), mat.ravel())
 
 
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of the complex ``z`` divided by its norm.
+
+    The norm is ``sqrt(re . re + im . im)`` with one BLAS dot product per
+    part, the arithmetic of ``np.linalg.norm`` on a vector, so each row equals
+    ``v / np.linalg.norm(v)`` bit for bit; rows that are not unit vectors
+    after the division fail the check :class:`PureState` applies.
+    """
+    def norms(x):
+        re, im = x.real[:, None, :], x.imag[:, None, :]
+        dots = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+        return np.sqrt(dots[:, 0, 0])
+
+    out = z / norms(z)[:, None]
+    worst = float(np.abs(norms(out) - 1.0).max())
+    if worst > 1e-10:
+        raise ValueError(f"state is not normalized: ||psi| - 1| = {worst}")
+    return out
+
+
 def random_separable(da: int, db: int, rng, nterms: int | None = None) -> DensityMatrix:
     """Random mixture of product projectors with Dirichlet weights.
 
     The number of terms respects the Caratheodory bound (da*db)^2.  This is a
-    sampler of separable states, not a separability oracle.
+    sampler of separable states, not a separability oracle.  The normals of
+    all terms come from one draw, each term taking its factors' real and
+    imaginary parts in the order a-real, a-imag, b-real, b-imag; the result
+    equals drawing each factor with :func:`random_pure` in turn.
     """
     kmax = (da * db) ** 2
     k = int(rng.integers(1, kmax + 1)) if nterms is None else min(nterms, kmax)
     weights = rng.dirichlet(np.ones(k))
+    z = rng.standard_normal((k, 2 * da + 2 * db))
+    a = _unit_rows(z[:, :da] + 1j * z[:, da:2 * da])
+    b = _unit_rows(z[:, 2 * da:2 * da + db] + 1j * z[:, 2 * da + db:])
+    v = (a[:, :, None] * b[:, None, :]).reshape(k, da * db)
+    terms = weights[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
     out = np.zeros((da * db, da * db), dtype=complex)
-    for w in weights:
-        a = random_pure((da,), rng).amplitudes
-        b = random_pure((db,), rng).amplitudes
-        v = np.kron(a, b)
-        out += w * np.outer(v, v.conj())
+    for term in terms:
+        out += term
     return DensityMatrix((da, db), out)
 
 

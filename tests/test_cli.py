@@ -269,3 +269,37 @@ def test_readme_examples_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert callable(args.fn), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("page", "--m", "2", "--n", "2", "--samples", "99"),
+    ("page", "--m", "2", "--n", "2", "--samples", "50"),
+    ("lubkin", "--m", "2", "--n", "2", "--samples", "1"),
+    ("lubkin", "--m", "2", "--n", "2", "--samples", "0"),
+    ("witness", "--samples", "0"),
+    ("witness", "--samples", "-5"),
+])
+def test_sample_counts_without_a_statistic_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sample_count_floors_are_accepted():
+    parser = build_parser()
+    assert parser.parse_args(["page", "--m", "2", "--n", "2", "--samples", "100"]).samples == 100
+    assert parser.parse_args(["lubkin", "--m", "2", "--n", "2", "--samples", "100"]).samples == 100
+    assert parser.parse_args(["witness", "--samples", "1"]).samples == 1
+
+
+def test_named_state_oracle_reaches_the_dense_budget(tmp_path, capsys):
+    # 3^10 = 59049 amplitudes: sparse Lanczos oracle, inside 2^16
+    assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "10") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["eigen_residual"] <= 1e-8
+    assert doc["ground_energy"] == pytest.approx(-2 / 3 * 10)
+    # 3^11 amplitudes exceed the budget: a resource limit, not an unverified pass
+    assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "11") == 3
+    assert "dense budget" in capsys.readouterr().err

@@ -5,6 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from entlab.haar import (
+    MC_BLOCK,
+    _entropies,
+    _reduced_spectrum,
     haar_pure,
     mean_entropy_approx,
     mean_entropy_exact,
@@ -12,6 +15,7 @@ from entlab.haar import (
     mean_purity_exact,
     mean_purity_mc,
     nats_to_bits,
+    sample_statistics,
     spectral_density,
 )
 from entlab.states import partial_trace_pure, von_neumann_entropy
@@ -168,3 +172,84 @@ def test_spectral_density_large_mn_no_overflow():
 def test_nats_bits_roundtrip():
     assert nats_to_bits(math.log(2)) == pytest.approx(1.0)
     assert nats_to_bits(mean_entropy_exact(2, 2)) == pytest.approx(1 / (3 * math.log(2)))
+
+
+# -- per-sample loops the block sampler replaces, kept as bitwise references --
+
+def reference_reduced_spectrum(m, n, rng):
+    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    s = np.linalg.svd(g, compute_uv=False)
+    p = s * s
+    return p / p.sum()
+
+
+def reference_entropy(p):
+    q = p[p > 0]
+    return float(-(q * np.log(q)).sum())
+
+
+def reference_entropy_mc(m, n, samples, seed):
+    partials = []
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(-(-samples // MC_BLOCK))):
+        rng = np.random.default_rng(stream)
+        total = total_sq = 0.0
+        for _ in range(min(MC_BLOCK, samples - b * MC_BLOCK)):
+            s = reference_entropy(reference_reduced_spectrum(m, n, rng))
+            total += s
+            total_sq += s * s
+        partials.append((total, total_sq))
+    mean = sum(p[0] for p in partials) / samples
+    var = max(sum(p[1] for p in partials) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def reference_purity_mc(m, n, samples, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
+    for i in range(samples):
+        p = reference_reduced_spectrum(m, n, rng)
+        vals[i] = float((p * p).sum())
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 8), (4, 4), (3, 5), (5, 3), (9, 12)])
+@pytest.mark.parametrize("count", [1, 7, MC_BLOCK])
+def test_reduced_spectrum_block_matches_per_draw_loop(m, n, count):
+    rng, ref_rng = np.random.default_rng(m * 100 + n), np.random.default_rng(m * 100 + n)
+    block = _reduced_spectrum(m, n, rng, count)
+    ref = np.array([reference_reduced_spectrum(m, n, ref_rng) for _ in range(count)])
+    assert block.shape == (count, min(m, n))
+    assert np.array_equal(block, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("samples", [100, 257, 1000])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 8), (4, 4)])
+def test_mc_estimates_match_per_sample_loops(m, n, samples):
+    assert mean_entropy_mc(m, n, samples, seed=samples) == \
+        reference_entropy_mc(m, n, samples, seed=samples)
+    assert mean_purity_mc(m, n, samples, seed=samples) == \
+        reference_purity_mc(m, n, samples, seed=samples)
+
+
+def test_sample_statistics_match_per_draw_loop():
+    for m, n in ((2, 8), (3, 5)):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        purities, entropies = sample_statistics(m, n, 2 * MC_BLOCK + 3, rng)
+        ref = [reference_reduced_spectrum(m, n, ref_rng) for _ in range(2 * MC_BLOCK + 3)]
+        assert np.array_equal(purities, [(p * p).sum() for p in ref])
+        assert np.array_equal(entropies, [reference_entropy(p) for p in ref])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_entropy_counts_zero_eigenvalues_as_zero():
+    p = np.array([[1.0, 0.0], [0.6, 0.4], [0.5, 0.5]])
+    assert np.array_equal(_entropies(p), [reference_entropy(row) for row in p])
+
+
+def test_mc_estimates_need_minimum_samples():
+    for samples in (99, 1, 0):
+        with pytest.raises(ValueError):
+            mean_purity_mc(2, 2, samples)
+        with pytest.raises(ValueError):
+            mean_entropy_mc(2, 2, samples)

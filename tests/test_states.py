@@ -227,3 +227,29 @@ def test_mutual_information():
     expected = 2 * von_neumann_entropy(partial_trace_pure(psi, 1, "A"))
     assert mutual_information(psi.projector()) == pytest.approx(expected, abs=1e-9)
     assert mutual_information(bell_state().projector()) == pytest.approx(2.0, abs=1e-9)
+
+
+def reference_random_separable(da, db, rng, nterms=None):
+    """The per-term loop the block draw replaces: each factor from random_pure."""
+    kmax = (da * db) ** 2
+    k = int(rng.integers(1, kmax + 1)) if nterms is None else min(nterms, kmax)
+    weights = rng.dirichlet(np.ones(k))
+    out = np.zeros((da * db, da * db), dtype=complex)
+    for w in weights:
+        a = random_pure((da,), rng).amplitudes
+        b = random_pure((db,), rng).amplitudes
+        v = np.kron(a, b)
+        out += w * np.outer(v, v.conj())
+    return DensityMatrix((da, db), out)
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("nterms", [None, 1, 5, 100])
+def test_random_separable_matches_per_term_reference(da, db, nterms):
+    for seed in range(12):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rho = random_separable(da, db, rng, nterms)
+        ref = reference_random_separable(da, db, ref_rng, nterms)
+        assert rho.matrix.dtype == ref.matrix.dtype
+        assert np.array_equal(rho.matrix.view(np.uint8), ref.matrix.view(np.uint8))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
