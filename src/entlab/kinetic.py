@@ -26,7 +26,9 @@ each governed by its own N-spin Hermitian Hamiltonian built by
 :func:`build_h_tau_single_flip` / :func:`build_h_tau_two_flip`;
 :func:`sector_split_evolve` runs that decomposition for the pair model and
 :func:`direct_evolve` integrates the full vectorized generator as an
-independent oracle.
+independent oracle.  Both depend on the model through one operand each, the
+sector eigensystems (:func:`sector_eigensystems`) and the vectorized
+generator, which a caller evolving many states builds once and passes in.
 
 Sector Hamiltonians use the temperature angle ``phi`` with
 ``cos(phi) = cosh(bJ) / sqrt(cosh(bJ)^2 + sinh(bJ)^2)``; phi runs from 0
@@ -306,13 +308,19 @@ def detailed_balance_violation(gen: scipy.sparse.csr_matrix, energies: np.ndarra
     return worst, worst_pair
 
 
-def check_detailed_balance(model: KineticModel, tol: float = 1e-10):
-    """(passes, max relative violation) for the model's thermal rates."""
+def _generator_balance(model: KineticModel):
+    """(generator, energies, max detailed-balance violation) of the model."""
     if model.gamma >= 1.0:
         raise ValueError("detailed balance needs a finite temperature (gamma < 1)")
     gen = build_generator(model)
     energies = ising_energies(model.nsites, model.coupling)
     worst, _ = detailed_balance_violation(gen, energies, model.beta)
+    return gen, energies, worst
+
+
+def check_detailed_balance(model: KineticModel, tol: float = 1e-10):
+    """(passes, max relative violation) for the model's thermal rates."""
+    worst = _generator_balance(model)[2]
     return worst <= tol, worst
 
 
@@ -320,13 +328,13 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     """Hermitian PSD Hamiltonian from the generator, via exp(beta H/2) scaling.
 
     H(s, s') = delta_{ss'} sum_t W(t, s) - e^{b E(s)/2} W(s, s') e^{-b E(s')/2};
-    its kernel vector is proportional to e^{-b E(s)/2}.
+    its kernel vector is proportional to e^{-b E(s)/2}.  The generator that
+    passed the detailed-balance check is the one scaled.
     """
-    ok, worst = check_detailed_balance(model)
-    if not ok:
+    gen, energies, worst = _generator_balance(model)
+    if not worst <= 1e-10:
         raise ValueError(f"detailed balance violated at {worst:.2e}")
-    gen = build_generator(model).toarray()
-    energies = ising_energies(model.nsites, model.coupling)
+    gen = gen.toarray()
     centered = energies - energies.mean()
     d = np.exp(0.5 * model.beta * centered)
     h = -(d[:, None] * gen * (1.0 / d)[None, :])
@@ -519,58 +527,88 @@ def conserved_tau_diagonals(n: int) -> list[np.ndarray]:
     return out
 
 
-def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float) -> DensityMatrix:
-    """Oracle evolution: integrate the full vectorized generator."""
+def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
+                  generator: scipy.sparse.csr_matrix | None = None) -> DensityMatrix:
+    """Oracle evolution: integrate the full vectorized generator.
+
+    ``generator`` is :func:`vectorized_generator` of ``model``; pass it to
+    evolve several states or times with one build, or leave it None to
+    build it here.
+    """
     n = model.nsites
     if n > 7:
         raise ResourceLimitError("direct integration beyond 7 sites is out of budget")
-    gen = vectorized_generator(model)
+    gen = vectorized_generator(model) if generator is None else generator
     vec = rho0.matrix.reshape(-1)
     out = expm_multiply(gen * t, vec)
     return DensityMatrix((2,) * n, out.reshape(2 ** n, 2 ** n), tol=1e-8)
 
 
-def sector_split_evolve(rho0: DensityMatrix, model: KineticModel,
-                        t: float) -> DensityMatrix:
+def _check_sector_model(model: KineticModel) -> None:
+    if model.flip != "pair":
+        raise ValueError("sector evolution is defined for the pair model")
+    if model.gamma >= 1.0:
+        raise ValueError("needs a finite-temperature parametrization")
+    if model.nsites > 10:
+        raise ResourceLimitError("sector evolution beyond 10 sites is out of budget")
+
+
+def sector_eigensystems(model: KineticModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Dense eigensystems ``(w, V)`` of the tau sectors of the pair model.
+
+    Entry ``mu`` belongs to the doubled-basis offset ``mu`` (the pairs
+    ``(sigma, sigma ^ mu)``), whose conserved products are
+    ``tau_i = mu_i mu_{i+1}``.  Each of the 2^(N-1) distinct sectors is
+    built by :func:`build_h_tau_two_flip` and diagonalized once, in order of
+    first appearance, and shared by the two offsets ``mu`` and ``~mu`` that
+    map to it.  The list depends on the model only: build it once and pass
+    it to :func:`sector_split_evolve` for every state and time.
+    """
+    _check_sector_model(model)
+    n = model.nsites
+    solved: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    out = []
+    for mu_code in range(2 ** n):
+        # tau_i = mu_i mu_{i+1}: +1 where neighboring mu bits agree
+        bits = (mu_code >> (n - 1 - np.arange(n))) & 1
+        tau_spins = np.where(bits == np.roll(bits, -1), 1, -1)
+        key = tuple(tau_spins)
+        if key not in solved:
+            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi,
+                                       n, model.rate_scale)
+            solved[key] = np.linalg.eigh(ham.dense())
+        out.append(solved[key])
+    return out
+
+
+def sector_split_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
+                        eigensystems: list | None = None) -> DensityMatrix:
     """Evolve by splitting the transformed master equation into tau sectors.
 
     Steps: vectorize rho, apply the exp(+(beta/4)(H + Htilde)) scaling, split
     the doubled basis along the conserved tau products, evolve each sector by
     exp(-H_tau t), and undo the scaling.  Equivalent to :func:`direct_evolve`
-    but exposes the sector structure.
+    but exposes the sector structure.  ``eigensystems`` is
+    :func:`sector_eigensystems` of ``model``; pass it to evolve several
+    states or times with one set of sector diagonalizations, or leave it
+    None to compute it here.
     """
-    if model.flip != "pair":
-        raise ValueError("sector evolution is defined for the pair model")
-    if model.gamma >= 1.0:
-        raise ValueError("needs a finite-temperature parametrization")
+    _check_sector_model(model)
+    if eigensystems is None:
+        eigensystems = sector_eigensystems(model)
     n = model.nsites
-    if n > 10:
-        raise ResourceLimitError("sector evolution beyond 10 sites is out of budget")
     dim = 2 ** n
-    beta = model.beta
     energies = ising_energies(n, model.coupling)
     centered = energies - energies.mean()
-    scaling = np.exp(0.25 * beta * centered)
+    scaling = np.exp(0.25 * model.beta * centered)
 
     psi = (scaling[:, None] * rho0.matrix * scaling[None, :]).astype(complex)
     out = np.empty_like(psi)
     codes = np.arange(dim)
-    cache: dict[tuple, tuple] = {}
-    for mu_code in range(dim):
+    for mu_code, (w, v) in enumerate(eigensystems):
         tilde = codes ^ mu_code
-        # tau_i = mu_i mu_{i+1}: +1 where neighboring mu bits agree
-        bits = (mu_code >> (n - 1 - np.arange(n))) & 1
-        tau_spins = np.where(bits == np.roll(bits, -1), 1, -1)
-        key = tuple(tau_spins)
-        if key not in cache:
-            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi,
-                                       n, model.rate_scale)
-            w, v = np.linalg.eigh(ham.dense())
-            cache[key] = (w, v)
-        w, v = cache[key]
         u = psi[codes, tilde]
-        evolved = v @ (np.exp(-w * t) * (v.conj().T @ u))
-        out[codes, tilde] = evolved
+        out[codes, tilde] = v @ (np.exp(-w * t) * (v.conj().T @ u))
     rho_t = out / scaling[:, None] / scaling[None, :]
     return DensityMatrix((2,) * n, rho_t, tol=1e-8)
 

@@ -84,14 +84,16 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     """Verify Hermiticity relative to the matrix scale, then symmetrize.
 
     Returns ``(a + a^dag)/2``, which stabilizes downstream eigensolves.
-    Raises :class:`NotHermitianError` with the max asymmetry otherwise.
+    Raises :class:`NotHermitianError` with the max asymmetry otherwise,
+    including for any non-finite entry.
     """
     a = np.asarray(a)
     scale = max(np.abs(a).max() if a.size else 0.0, 1.0)
-    asym = float(np.abs(a - a.conj().T).max())
-    if asym > tol * scale:
+    ah = a.conj().T
+    asym = float(np.abs(a - ah).max())
+    if not asym <= tol * scale:  # NaN fails too
         raise NotHermitianError(asym, tol * scale)
-    return (a + a.conj().T) / 2
+    return (a + ah) / 2
 
 
 def hermitian_eig(a: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:

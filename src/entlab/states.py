@@ -10,6 +10,11 @@ The operations here are the exact (dense) route used everywhere else as an
 oracle: Schmidt decomposition through SVD, partial trace and partial
 transposition by index reshuffling, and von Neumann / Renyi entropies from
 eigenvalues.
+
+A :class:`DensityMatrix` computes its spectrum once, in the ``eigvalsh``
+that validates it, and keeps it: entropies and mutual information read that
+spectrum instead of diagonalizing again.  Both the matrix and the spectrum
+are read-only arrays, so the spectrum cannot go stale.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class PureState:
         if int(np.prod(dims)) != amplitudes.size:
             raise ValueError("product of local dims must equal amplitude length")
         norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi| = {norm}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amplitudes)
@@ -64,10 +69,17 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, trace-one operator with local dims."""
+    """Hermitian, positive semidefinite, trace-one operator with local dims.
+
+    Construction symmetrizes ``matrix`` into a fresh array and validates it
+    with one ``eigvalsh``, whose ascending eigenvalues the state keeps and
+    :meth:`eigenvalues` returns.  ``matrix`` and that spectrum are read-only;
+    the caller's input array is never modified.
+    """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __init__(self, dims, matrix, tol: float = 1e-10):
         dims = tuple(int(d) for d in dims)
@@ -77,20 +89,24 @@ class DensityMatrix:
             raise ValueError("matrix shape does not match local dims")
         matrix = check_hermitian(matrix, tol)
         tr = np.trace(matrix).real
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise ValueError(f"trace must be one, got {tr}")
         w = np.linalg.eigvalsh(matrix)
-        if w[0] < -tol:
+        if not w[0] >= -tol:
             raise ValueError(f"negative eigenvalue {w[0]:.3e}")
+        matrix.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_spectrum", w)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues, computed once at validation (read-only)."""
+        return self._spectrum
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -309,7 +325,7 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
 
     out = z / norms(z)[:, None]
     worst = float(np.abs(norms(out) - 1.0).max())
-    if worst > 1e-10:
+    if not worst <= 1e-10:  # NaN fails too
         raise ValueError(f"state is not normalized: ||psi| - 1| = {worst}")
     return out
 

@@ -252,6 +252,29 @@ def test_mutual_info_area_check():
     assert boundary0 == pytest.approx(0.0, abs=1e-8)
 
 
+def test_mutual_info_area_check_values_are_unchanged():
+    # the row of mutualinfo.csv for `mutualinfo quantum --sites 10 --beta 1.0 --cut 5`
+    assert mutual_info_area_check(build_xy(1.0, 1.0, 10), 1.0, 5) == \
+        (0.19449310394059172, 0.40624782303664864, 2.0)
+
+
+def test_mutual_info_area_check_diagonalizes_the_full_state_twice(monkeypatch):
+    # eigh of H for the Gibbs weights and the validating eigvalsh of the Gibbs
+    # state; the entropy of the state reuses that validated spectrum
+    full_dim = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            if np.shape(a)[0] == 1024:
+                full_dim.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    mutual_info_area_check(build_xy(1.0, 1.0, 10), 1.0, 5)
+    assert full_dim == ["eigh", "eigvalsh"]
+
+
 def test_mutual_info_product_hamiltonian():
     # no crossing terms: thermal state factorizes and I = 0
     n = 6

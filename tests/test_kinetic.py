@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
+from entlab import kinetic, selftest
 from entlab.kinetic import (
     KineticModel,
     TauSector,
@@ -20,6 +22,7 @@ from entlab.kinetic import (
     glauber_rate,
     ising_energies,
     mixed_block_min_eigenvalue,
+    sector_eigensystems,
     sector_spectra_scan,
     sector_split_evolve,
     single_flip_coefficients,
@@ -459,3 +462,80 @@ def test_two_flip_uniform_first_excited_merges_at_zero_temperature():
     assert w_mid[2] - w_mid[0] > 1e-3   # first excited level separated
     w_cold = spectra[math.pi / 4]
     assert w_cold[2] - w_cold[0] <= 1e-3  # merges with the ground level
+
+
+# -- per-call evolution, each call building its own operands, kept as the
+# bitwise reference for the shared-operand path --
+
+def reference_sector_split_evolve(rho0, model, t):
+    n = model.nsites
+    dim = 2 ** n
+    energies = ising_energies(n, model.coupling)
+    scaling = np.exp(0.25 * model.beta * (energies - energies.mean()))
+    psi = (scaling[:, None] * rho0.matrix * scaling[None, :]).astype(complex)
+    out = np.empty_like(psi)
+    codes = np.arange(dim)
+    cache = {}
+    for mu_code in range(dim):
+        tilde = codes ^ mu_code
+        bits = (mu_code >> (n - 1 - np.arange(n))) & 1
+        tau_spins = np.where(bits == np.roll(bits, -1), 1, -1)
+        key = tuple(tau_spins)
+        if key not in cache:
+            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi,
+                                       n, model.rate_scale)
+            cache[key] = np.linalg.eigh(ham.dense())
+        w, v = cache[key]
+        out[codes, tilde] = v @ (np.exp(-w * t) * (v.conj().T @ psi[codes, tilde]))
+    rho_t = out / scaling[:, None] / scaling[None, :]
+    return DensityMatrix((2,) * n, rho_t, tol=1e-8)
+
+
+def reference_direct_evolve(rho0, model, t):
+    n = model.nsites
+    out = expm_multiply(vectorized_generator(model) * t, rho0.matrix.reshape(-1))
+    return DensityMatrix((2,) * n, out.reshape(2 ** n, 2 ** n), tol=1e-8)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_shared_operand_evolution_matches_per_call_reference(n):
+    model = KineticModel.two_flip(n, beta=0.4)
+    rng = np.random.default_rng(n)
+    eigensystems = sector_eigensystems(model)
+    generator = vectorized_generator(model)
+    assert len(eigensystems) == 2 ** n
+    for rho0 in [random_density((2,) * n, rng) for _ in range(3)]:
+        for t in (0.0, 0.1, 1.0):
+            ref = reference_sector_split_evolve(rho0, model, t)
+            assert np.array_equal(sector_split_evolve(rho0, model, t, eigensystems).matrix,
+                                  ref.matrix)
+            assert np.array_equal(sector_split_evolve(rho0, model, t).matrix, ref.matrix)
+            ref = reference_direct_evolve(rho0, model, t)
+            assert np.array_equal(direct_evolve(rho0, model, t, generator).matrix, ref.matrix)
+            assert np.array_equal(direct_evolve(rho0, model, t).matrix, ref.matrix)
+
+
+def test_sector_evolution_builds_model_operands_once_per_call(monkeypatch):
+    calls = {"build_h_tau_two_flip": 0, "vectorized_generator": 0}
+    for name in calls:
+        original = getattr(kinetic, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kinetic, name, counted)
+    first = selftest.sector_evolution(6, 0.4, (0.1, 1.0), 5, seed=24)
+    assert calls == {"build_h_tau_two_flip": 32, "vectorized_generator": 1}
+    # nothing is kept between calls: a second call builds everything again
+    assert selftest.sector_evolution(6, 0.4, (0.1, 1.0), 5, seed=24) == first
+    assert calls == {"build_h_tau_two_flip": 64, "vectorized_generator": 2}
+
+
+def test_symmetrize_builds_the_generator_once(monkeypatch):
+    built = []
+    original = kinetic.build_generator
+    monkeypatch.setattr(kinetic, "build_generator", lambda m: built.append(m) or original(m))
+    model = KineticModel.single_flip(6, beta=0.4)
+    symmetrize(model)
+    assert built == [model]

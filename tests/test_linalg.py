@@ -8,6 +8,7 @@ from entlab.linalg import (
     NotHermitianError,
     PAULI_X,
     PAULI_Z,
+    check_hermitian,
     hermitian_eig,
     kron,
     lanczos_lowest,
@@ -87,6 +88,25 @@ def test_hermitian_eig_rejects_asymmetric():
     with pytest.raises(NotHermitianError) as exc:
         hermitian_eig(a)
     assert exc.value.asymmetry == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_hermitian_rejects_non_finite(bad):
+    for a in (np.array([[bad, 0.0], [0.0, 1.0]]),
+              np.array([[1.0, bad], [bad, 1.0]]),
+              np.array([[0.5, complex(0.0, bad)], [complex(0.0, -bad), 0.5]])):
+        with pytest.raises(NotHermitianError):
+            check_hermitian(a)
+
+
+def test_check_hermitian_symmetrizes_bitwise_as_definition():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 64):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = g + g.conj().T + 1e-13 * rng.standard_normal((n, n))
+        assert np.array_equal(check_hermitian(a), (a + a.conj().T) / 2)
+        real = a.real
+        assert np.array_equal(check_hermitian(real), (real + real.conj().T) / 2)
 
 
 def test_hermitian_eig_bell_partial_transpose():

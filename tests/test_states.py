@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab.linalg import kron
+from entlab.chains import build_xy, thermal_state
+from entlab.linalg import NotHermitianError, kron
 from entlab.states import (
     DensityMatrix,
     PureState,
+    _unit_rows,
     bell_state,
+    entropy_from_probabilities,
     is_ppt,
     max_entangled,
     mutual_information,
@@ -253,3 +256,60 @@ def test_random_separable_matches_per_term_reference(da, db, nterms):
         assert rho.matrix.dtype == ref.matrix.dtype
         assert np.array_equal(rho.matrix.view(np.uint8), ref.matrix.view(np.uint8))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_validation_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        PureState((2,), [nan, 0.0])
+    with pytest.raises(ValueError):
+        PureState((2,), [1.0, nan])
+    with pytest.raises(NotHermitianError):
+        DensityMatrix((2,), [[nan, 0.0], [0.0, nan]])
+    with pytest.raises(NotHermitianError):
+        DensityMatrix((2,), [[0.5, nan], [nan, 0.5]])
+    with pytest.raises(ValueError):
+        _unit_rows(np.array([[1.0, 0.0], [nan, 1.0]], dtype=complex))
+
+
+# -- the spectrum a DensityMatrix carries against a fresh eigensolve --
+
+def reference_von_neumann_entropy(rho, base=2):
+    return entropy_from_probabilities(np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None), base)
+
+
+def _spectrum_cases():
+    rng = np.random.default_rng(17)
+    for dims in ((2,), (2, 3), (4, 4, 4), (2,) * 10):
+        yield random_density(dims, rng)
+    yield random_density((2, 3), rng, rank=2)
+    yield thermal_state(build_xy(1.0, 1.0, 10), 1.0)
+
+
+def test_density_matrix_spectrum_is_fresh_eigvalsh():
+    for rho in _spectrum_cases():
+        fresh = np.linalg.eigvalsh(rho.matrix)
+        assert np.array_equal(rho.eigenvalues(), fresh)
+        for base in (2, "e"):
+            assert von_neumann_entropy(rho, base) == \
+                entropy_from_probabilities(np.clip(fresh, 0.0, None), base)
+        for alpha in (0, 0.5, 2, np.inf):
+            assert renyi_entropy(rho, alpha) == renyi_entropy_from_spectrum(fresh, alpha)
+        n = len(rho.dims)
+        if n > 1:
+            cut = n // 2
+            ref = (reference_von_neumann_entropy(partial_trace(rho, range(cut)))
+                   + reference_von_neumann_entropy(partial_trace(rho, range(cut, n)))
+                   - entropy_from_probabilities(np.clip(fresh, 0.0, None)))
+            assert mutual_information(rho, cut) == ref
+
+
+def test_density_matrix_arrays_are_read_only():
+    source = np.diag([0.25, 0.75]).astype(complex)
+    rho = DensityMatrix((2,), source)
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rho.eigenvalues()[0] = 1.0
+    source[0, 0] = 1.0  # the caller's array is copied, not frozen
+    assert rho.matrix[0, 0] == 0.25
