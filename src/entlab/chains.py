@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .linalg import (PAULI_X, PAULI_Y, PAULI_Z, NumericalError, ResourceLimitError,
+from .linalg import (BUDGET, PAULI_X, PAULI_Y, PAULI_Z, NumericalError, check_budget,
                      lanczos_lowest)
 from .states import (
     DensityMatrix,
@@ -50,8 +50,6 @@ from .states import (
     partial_trace_pure,
     von_neumann_entropy,
 )
-
-DENSE_DIM_LIMIT = 4096
 
 
 def spin1_matrices() -> dict[str, np.ndarray]:
@@ -231,23 +229,21 @@ def build_cluster(sign: int, n: int, bc: str = "periodic") -> SpinHamiltonian:
 
 def ground_state(ham: SpinHamiltonian, k: int = 1, method: str = "auto",
                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-k eigenpairs; dense below DENSE_DIM_LIMIT, Lanczos above.
+    """Lowest-k eigenpairs; dense up to ``BUDGET["ground_state_dense_dim"]``, Lanczos above.
 
     Returns (energies ascending, eigenvector columns) with verified residuals.
     """
     dim = ham.local_dim ** ham.nsites
     if method == "auto":
-        method = "dense" if dim <= DENSE_DIM_LIMIT else "lanczos"
+        method = "dense" if dim <= BUDGET["ground_state_dense_dim"] else "lanczos"
     if method == "dense":
-        if dim > 2 ** 14:
-            raise ResourceLimitError(f"dense diagonalization at dim {dim}")
+        check_budget("dense_eigh_max_dim", dim, "dense diagonalization dimension")
         mat = ham.dense()
         w, v = np.linalg.eigh(mat)
         w, v = w[:k], v[:, :k]
         op = mat
     elif method == "lanczos":
-        if dim > 2 ** 20:
-            raise ResourceLimitError(f"sparse diagonalization at dim {dim}")
+        check_budget("lanczos_max_dim", dim, "sparse diagonalization dimension")
         op = ham.sparse()
         w, v = lanczos_lowest(op, k=k, seed=seed, return_vectors=True)
     else:
@@ -314,8 +310,7 @@ def free_fermion_entropy_scan(gamma: float, h: float, n: int, block_sizes,
 def thermal_state(ham: SpinHamiltonian, beta: float) -> DensityMatrix:
     """Gibbs state exp(-beta H)/Z by dense eigendecomposition."""
     dim = ham.local_dim ** ham.nsites
-    if dim > 2 * DENSE_DIM_LIMIT:
-        raise ResourceLimitError(f"thermal state at dim {dim}")
+    check_budget("thermal_state_max_dim", dim, "thermal state dimension")
     w, v = np.linalg.eigh(ham.dense())
     boltz = np.exp(-beta * (w - w.min()))
     boltz /= boltz.sum()
@@ -391,8 +386,7 @@ def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
     where the last entry is |I(A:B) - I(dA:dB)|, which the nearest-neighbor
     Markov property forces to vanish.
     """
-    if n > 20:
-        raise ResourceLimitError("classical enumeration beyond 20 sites")
+    check_budget("classical_ring_max_sites", n, "classical enumeration sites")
     d = len(values)
     p, digits = _ring_probabilities(coupling, beta, n, values)
     a = list(range(cut))

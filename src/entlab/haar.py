@@ -44,10 +44,6 @@ def nats_to_bits(x: float) -> float:
     return x / LN2
 
 
-def bits_to_nats(x: float) -> float:
-    return x * LN2
-
-
 def haar_pure(m: int, n: int, seed_or_rng) -> PureState:
     """One Haar-random pure state on C^m (x) C^n.
 

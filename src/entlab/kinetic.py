@@ -54,7 +54,7 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .chains import SpinHamiltonian
-from .linalg import (PAULI_X, PAULI_Z, NumericalError, ResourceLimitError, check_hermitian,
+from .linalg import (BUDGET, PAULI_X, PAULI_Z, NumericalError, check_budget, check_hermitian,
                      lanczos_lowest)
 from .states import DensityMatrix
 
@@ -264,8 +264,7 @@ def build_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
     entries are the nonnegative rates.
     """
     n = model.nsites
-    if n > 20:
-        raise ResourceLimitError("generator beyond 20 sites is out of budget")
+    check_budget("generator_max_sites", n, "generator sites")
     dim = 2 ** n
     rates, masks = _rate_table(model)
     rows, cols, vals = [], [], []
@@ -329,7 +328,8 @@ def symmetrize(model: KineticModel) -> np.ndarray:
 
     H(s, s') = delta_{ss'} sum_t W(t, s) - e^{b E(s)/2} W(s, s') e^{-b E(s')/2};
     its kernel vector is proportional to e^{-b E(s)/2}.  The generator that
-    passed the detailed-balance check is the one scaled.
+    passed the detailed-balance check is the one scaled.  H is PSD in exact
+    arithmetic; :func:`symmetrized_eigh` diagonalizes it and checks that.
     """
     gen, energies, worst = _generator_balance(model)
     if not worst <= 1e-10:
@@ -338,11 +338,19 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     centered = energies - energies.mean()
     d = np.exp(0.5 * model.beta * centered)
     h = -(d[:, None] * gen * (1.0 / d)[None, :])
-    h = check_hermitian(h)
-    w = np.linalg.eigvalsh(h)
+    return check_hermitian(h)
+
+
+def symmetrized_eigh(model: KineticModel) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem ``(w, V)`` of :func:`symmetrize`, ascending, from one ``eigh``.
+
+    Raises :class:`NumericalError` if the spectrum is not PSD to 1e-10 of its
+    scale.
+    """
+    w, v = np.linalg.eigh(symmetrize(model))
     if w[0] < -1e-10 * max(1.0, abs(w[-1])):
         raise NumericalError(f"symmetrized generator has negative eigenvalue {w[0]:.2e}")
-    return h
+    return w, v
 
 
 def gibbs_sqrt_vector(model: KineticModel) -> np.ndarray:
@@ -536,8 +544,7 @@ def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
     build it here.
     """
     n = model.nsites
-    if n > 7:
-        raise ResourceLimitError("direct integration beyond 7 sites is out of budget")
+    check_budget("direct_evolve_max_sites", n, "direct integration sites")
     gen = vectorized_generator(model) if generator is None else generator
     vec = rho0.matrix.reshape(-1)
     out = expm_multiply(gen * t, vec)
@@ -549,8 +556,7 @@ def _check_sector_model(model: KineticModel) -> None:
         raise ValueError("sector evolution is defined for the pair model")
     if model.gamma >= 1.0:
         raise ValueError("needs a finite-temperature parametrization")
-    if model.nsites > 10:
-        raise ResourceLimitError("sector evolution beyond 10 sites is out of budget")
+    check_budget("sector_evolve_max_sites", model.nsites, "sector evolution sites")
 
 
 def sector_eigensystems(model: KineticModel) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -635,8 +641,7 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
     """
     if kind not in ("two-flip", "single-flip"):
         raise ValueError("kind must be 'two-flip' or 'single-flip'")
-    if n > 17:
-        raise ResourceLimitError("spectra scan beyond 17 sites is out of budget")
+    check_budget("spectra_scan_max_sites", n, "spectra scan sites")
 
     tasks = [(tau, float(v)) for tau in sectors for v in values]
 
@@ -649,7 +654,7 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
                                              rate_scale=rate_scale)
             ham = build_h_tau_single_flip(tau, model)
         dim = 2 ** n
-        if dim <= 1024:
+        if dim <= BUDGET["spectra_scan_dense_dim"]:
             w = np.linalg.eigvalsh(ham.dense())[:k]
         else:
             w = lanczos_lowest(ham.sparse(), k=k, seed=seed)

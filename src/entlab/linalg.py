@@ -20,6 +20,9 @@ Conventions
 
 from __future__ import annotations
 
+import math
+from types import MappingProxyType
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -33,9 +36,36 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
+# Every size limit and dense/sparse crossover, read by name.  A ``max`` entry
+# is a limit: beyond it check_budget raises ResourceLimitError.  A
+# ``dense_dim`` entry is a crossover: up to that dimension the solver is dense
+# (``eigh``/``eigvalsh``), above it sparse (``lanczos_lowest``).  Moving a
+# crossover moves commands onto another solver and changes the last bits of
+# their output.
+BUDGET = MappingProxyType({
+    "ground_state_dense_dim": 4096,        # chains.ground_state, method "auto"
+    "dense_eigh_max_dim": 2 ** 14,         # chains.ground_state, method "dense"
+    "lanczos_max_dim": 2 ** 20,            # chains.ground_state, method "lanczos"
+    "thermal_state_max_dim": 2 * 4096,     # chains.thermal_state
+    "classical_ring_max_sites": 20,        # chains.classical_gibbs_mutual_info
+    "generator_max_sites": 20,             # kinetic.build_generator
+    "direct_evolve_max_sites": 7,          # kinetic.direct_evolve, kinetic evolve
+    "sector_evolve_max_sites": 10,         # kinetic sector evolution
+    "spectra_scan_max_sites": 17,          # kinetic.sector_spectra_scan
+    "spectra_scan_dense_dim": 1024,        # kinetic.sector_spectra_scan
+    "named_state_dense_dim": 2048,         # oracle of mps named, criterion 7
+    "mps_dense_max_amplitudes": 2 ** 16,   # MatrixProductState.to_dense
+})
+
 
 class ResourceLimitError(RuntimeError):
     """Requested computation exceeds its configured size budget."""
+
+
+def check_budget(name: str, size: int, what: str) -> None:
+    """Raise :class:`ResourceLimitError` if ``size`` exceeds ``BUDGET[name]``."""
+    if size > BUDGET[name]:
+        raise ResourceLimitError(f"{what}: {size} > BUDGET[{name!r}] = {BUDGET[name]}")
 
 
 class NumericalError(RuntimeError):
@@ -88,6 +118,8 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     including for any non-finite entry.
     """
     a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise NotHermitianError(math.nan, tol)
     scale = max(np.abs(a).max() if a.size else 0.0, 1.0)
     ah = a.conj().T
     asym = float(np.abs(a - ah).max())

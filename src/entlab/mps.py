@@ -37,10 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, ResourceLimitError, svd
+from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, check_budget, svd
 from .states import SCHMIDT_CUTOFF, PureState, entropy_from_probabilities
-
-DENSE_SITE_LIMIT = 16
 
 # sign of <Z X Z> on the cluster-state matrices below, fixed by measurement
 CLUSTER_STABILIZER_SIGN = -1
@@ -85,13 +83,11 @@ class MatrixProductState:
     def bond_dims(self) -> list[int]:
         return [t.shape[1] for t in self.tensors] + [self.tensors[-1].shape[2]]
 
-    def dense_amplitudes(self, max_sites: int = DENSE_SITE_LIMIT) -> np.ndarray:
+    def dense_amplitudes(self) -> np.ndarray:
         """Raw contraction times scale (no normalization)."""
         n = self.nsites
-        if self.local_dim ** n > 2 ** max_sites:
-            raise ResourceLimitError(
-                f"{self.local_dim}^{n} amplitudes exceed the dense budget 2^{max_sites}"
-            )
+        check_budget("mps_dense_max_amplitudes", self.local_dim ** n,
+                     f"{self.local_dim}^{n} amplitudes over the dense budget")
         acc = None
         for t in self.tensors:
             if acc is None:
@@ -104,9 +100,9 @@ class MatrixProductState:
             amps = np.trace(acc, axis1=1, axis2=2)
         return self.scale * amps
 
-    def to_dense(self, max_sites: int = DENSE_SITE_LIMIT) -> tuple[PureState, float]:
+    def to_dense(self) -> tuple[PureState, float]:
         """Normalized dense state plus the norm of the represented vector."""
-        amps = self.dense_amplitudes(max_sites)
+        amps = self.dense_amplitudes()
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValueError("null state")

@@ -323,6 +323,8 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
         dots = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
         return np.sqrt(dots[:, 0, 0])
 
+    if not np.isfinite(z).all():
+        raise ValueError("state has non-finite amplitudes")
     out = z / norms(z)[:, None]
     worst = float(np.abs(norms(out) - 1.0).max())
     if not worst <= 1e-10:  # NaN fails too

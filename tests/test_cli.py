@@ -303,3 +303,80 @@ def test_named_state_oracle_reaches_the_dense_budget(tmp_path, capsys):
     # 3^11 amplitudes exceed the budget: a resource limit, not an unverified pass
     assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "11") == 3
     assert "dense budget" in capsys.readouterr().err
+
+
+# -- every README example against its JSON body before experiments moved into selftest --
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def readme_examples(out):
+    """The README examples but ``selftest``, as the benchmark runs them:
+    ``kinetic spectra`` at 13 sites, and ``--save`` into ``out``."""
+    for argv in readme_commands():
+        if argv[0] == "selftest":
+            continue
+        if argv[:2] == ["kinetic", "spectra"]:
+            argv[argv.index("--sites") + 1] = "13"
+        if "--save" in argv:
+            argv[argv.index("--save") + 1] = str(out / argv[argv.index("--save") + 1])
+        yield argv
+
+
+def assert_same_body(got, want, out):
+    """Same keys in the same order; floats within the CSV gate's tolerance,
+    every other value equal and of the same type, paths after ``$OUT``."""
+    assert list(got) == list(want)
+    for key, value in want.items():
+        mine = got[key]
+        assert type(mine) is type(value), key
+        if isinstance(value, float):
+            assert mine == pytest.approx(value, rel=1e-8, abs=1e-10), key
+        elif isinstance(value, str):
+            assert mine.replace(str(out), "$OUT") == value, key
+        else:
+            assert mine == value, key
+
+
+def test_readme_examples_print_their_recorded_json(tmp_path, capsys):
+    golden = json.loads(GOLDEN.read_text())
+    seen = []
+    for argv in readme_examples(tmp_path):
+        assert main(["--out", str(tmp_path), *argv]) == 0, argv
+        key = " ".join(argv).replace(str(tmp_path), "$OUT")
+        assert_same_body(json.loads(capsys.readouterr().out), golden[key], tmp_path)
+        seen.append(key)
+    assert seen == list(golden)
+
+
+def test_main_calls_the_command_global_once(tmp_path, monkeypatch, capsys):
+    # the benchmark times each command by rebinding cli.cmd_<name> in place
+    import sys
+
+    import entlab.cli as cli
+    from entlab.selftest import Outcome
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from probes import cli_command
+
+    commands = readme_commands()
+    for argv in commands:
+        calls = []
+        name = "cmd_" + cli_command(argv)
+        monkeypatch.setattr(cli, name, lambda *a, _calls=calls: _calls.append(a) or Outcome({}, []))
+        assert main(["--out", str(tmp_path), *argv]) == 0, argv
+        assert len(calls) == 1, argv
+        monkeypatch.undo()
+    assert {cli_command(argv) for argv in commands} == {
+        name[4:] for name in vars(cli) if name.startswith("cmd_")}
+
+
+def test_negative_symmetrized_spectrum_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    from entlab import kinetic
+
+    original = kinetic.symmetrize
+    monkeypatch.setattr(kinetic, "symmetrize", lambda model: -original(model))
+    assert run(tmp_path, "classical-superposition", "--sites", "4") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "negative eigenvalue" in err
+    assert not (tmp_path / "classical_superposition_manifest.json").exists()

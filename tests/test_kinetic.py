@@ -539,3 +539,15 @@ def test_symmetrize_builds_the_generator_once(monkeypatch):
     model = KineticModel.single_flip(6, beta=0.4)
     symmetrize(model)
     assert built == [model]
+
+
+def test_classical_superposition_diagonalizes_the_generator_once(monkeypatch):
+    # the PSD check reads the spectrum of the eigh the experiment uses
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original, _n=name, **kw:
+                            solves.append((_n, np.shape(a)[0])) or _f(a, *args, **kw))
+    outcome = selftest.classical_superposition(8, 0.6, 1.0)
+    assert [s for s in solves if s[1] == 256] == [("eigh", 256)]
+    assert outcome.failed == []

@@ -207,3 +207,78 @@ def test_lanczos_dim4096_matches_arpack():
     exact = scipy.sparse.linalg.eigsh(a, k=2, which="SA", tol=1e-12)[0]
     w = lanczos_lowest(a, k=2, seed=3)
     assert np.abs(np.sort(w) - np.sort(exact)).max() <= 1e-9
+
+
+# -- the size budget: each limit passes at its value and raises one above --
+
+def test_budget_is_read_only():
+    from entlab.linalg import BUDGET
+
+    with pytest.raises(TypeError):
+        BUDGET["direct_evolve_max_sites"] = 8
+
+
+def _over_budget_cases():
+    from entlab import chains, kinetic, mps, selftest, states
+    from entlab.kinetic import KineticModel
+
+    rho8 = states.random_density((2,) * 8, np.random.default_rng(0))
+    return {
+        "dense_eigh_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 15),
+                                                          method="dense"),
+        "lanczos_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 21),
+                                                       method="lanczos"),
+        "thermal_state_max_dim": lambda: chains.thermal_state(chains.build_xy(1, 1, 14), 1.0),
+        "classical_ring_max_sites": lambda: chains.classical_gibbs_mutual_info(
+            lambda a, b: -a * b, 0.5, 21, 10),
+        "generator_max_sites": lambda: kinetic.build_generator(
+            KineticModel.single_flip(21, beta=0.4)),
+        "direct_evolve_max_sites": lambda: kinetic.direct_evolve(
+            rho8, KineticModel.two_flip(8, beta=0.4), 0.1),
+        "direct_evolve_max_sites (kinetic evolve)": lambda: selftest.sector_evolution(
+            8, 0.4, 0.1, 1, seed=0),
+        "sector_evolve_max_sites": lambda: kinetic.sector_eigensystems(
+            KineticModel.two_flip(11, beta=0.4)),
+        "spectra_scan_max_sites": lambda: kinetic.sector_spectra_scan(
+            "two-flip", 18, [kinetic.TauSector.adjacent_pair_up(18)], [0.1]),
+        "mps_dense_max_amplitudes": lambda: mps.ghz_mps(17).to_dense(),
+        "mps_dense_max_amplitudes (spin 1)": lambda: mps.aklt_mps(11).to_dense(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_over_budget_cases()))
+def test_one_above_each_limit_raises(name):
+    from entlab.linalg import ResourceLimitError
+
+    with pytest.raises(ResourceLimitError):
+        _over_budget_cases()[name]()
+
+
+def test_cheap_limits_pass_at_their_value():
+    from entlab import kinetic, mps, states
+    from entlab.kinetic import KineticModel
+    from entlab.linalg import BUDGET
+
+    assert BUDGET["direct_evolve_max_sites"] == 7
+    rho7 = states.random_density((2,) * 7, np.random.default_rng(0))
+    assert kinetic.direct_evolve(rho7, KineticModel.two_flip(7, beta=0.4), 0.1).dims == (2,) * 7
+    assert mps.ghz_mps(16).to_dense()[0].dim == 2 ** 16
+    assert mps.aklt_mps(10).to_dense()[0].dim == 3 ** 10
+
+
+def test_crossovers_are_dense_up_to_their_dimension(monkeypatch):
+    from entlab import kinetic, selftest
+
+    calls = []
+    for module in (kinetic, selftest):
+        original = module.lanczos_lowest
+        monkeypatch.setattr(module, "lanczos_lowest",
+                            lambda *a, _f=original, **k: calls.append(a[0].shape[0]) or _f(*a, **k))
+    # named-state oracle (crossover 2048): dense for AKLT at 3^6, Lanczos at 3^7
+    selftest.named_state("aklt", 6)
+    selftest.named_state("aklt", 7)
+    # spectra scan: dense at dim 1024 (10 sites), Lanczos at 2048
+    for n in (10, 11):
+        kinetic.sector_spectra_scan("two-flip", n, [kinetic.TauSector.adjacent_pair_up(n)],
+                                    [0.1], k=2)
+    assert calls == [3 ** 7, 2 ** 11]

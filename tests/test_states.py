@@ -313,3 +313,19 @@ def test_density_matrix_arrays_are_read_only():
         rho.eigenvalues()[0] = 1.0
     source[0, 0] = 1.0  # the caller's array is copied, not frozen
     assert rho.matrix[0, 0] == 0.25
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_input_raises_the_documented_error_without_a_warning(bad):
+    import warnings
+
+    from entlab.linalg import check_hermitian
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError):
+            check_hermitian(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(NotHermitianError):
+            DensityMatrix((2,), [[0.5, complex(0.0, bad)], [complex(0.0, -bad), 0.5]])
+        with pytest.raises(ValueError):
+            _unit_rows(np.array([[1.0, 0.0], [bad, 1.0]], dtype=complex))
