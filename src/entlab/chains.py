@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
+import scipy
 
 from .linalg import (BUDGET, PAULI_X, PAULI_Y, PAULI_Z, NumericalError, check_budget,
                      lanczos_lowest)

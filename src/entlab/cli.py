@@ -81,7 +81,7 @@ def cmd_measures(args, outdir: Path, tol) -> Outcome:
 
 
 def cmd_witness(args, outdir: Path, tol) -> Outcome:
-    return selftest.witness(args.p, args.samples, args.seed)
+    return selftest.witness(args.p, args.samples, args.seed, tol)
 
 
 def cmd_maps(args, outdir: Path, tol) -> Outcome:
@@ -167,6 +167,18 @@ def _int_at_least(floor: int, unit: str):
             raise argparse.ArgumentTypeError(f"needs at least {floor} {unit}, got {value}")
         return value
     return parse
+
+
+def _gamma_grid(text: str) -> str:
+    """argparse type for one or more comma-separated finite floats in [0, 1]."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid grid {text!r}: needs comma-separated numbers") from None
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise argparse.ArgumentTypeError(f"grid values must lie in [0, 1], got {text!r}")
+    return text
 
 
 def _criteria(text: str) -> str:
@@ -262,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["pair-up"])
     p.add_argument("--phi-grid", type=_int_at_least(2, "points"), default=9,
                    help="number of phi values on [0, pi/4], at least 2")
-    p.add_argument("--gamma-grid", default="0.9,0.99,0.999")
+    p.add_argument("--gamma-grid", type=_gamma_grid, default="0.9,0.99,0.999",
+                   help="comma-separated gamma values in [0, 1] (single-flip)")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--delta", type=float, default=0.0)
     p.set_defaults(fn=cmd_kinetic_spectra)

@@ -26,7 +26,7 @@ to a block yields the entropy through its Williamson spectrum.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .states import binary_entropy
 

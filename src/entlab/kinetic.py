@@ -50,8 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
+import scipy
 
 from .chains import SpinHamiltonian
 from .linalg import (BUDGET, PAULI_X, PAULI_Z, NumericalError, check_budget, check_hermitian,
@@ -547,7 +546,7 @@ def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
     check_budget("direct_evolve_max_sites", n, "direct integration sites")
     gen = vectorized_generator(model) if generator is None else generator
     vec = rho0.matrix.reshape(-1)
-    out = expm_multiply(gen * t, vec)
+    out = scipy.sparse.linalg.expm_multiply(gen * t, vec)
     return DensityMatrix((2,) * n, out.reshape(2 ** n, 2 ** n), tol=1e-8)
 
 
@@ -622,7 +621,7 @@ def sector_split_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
 def classical_evolve(p0: np.ndarray, model: KineticModel, t: float) -> np.ndarray:
     """Classical master-equation propagation of a probability vector."""
     gen = build_generator(model)
-    return expm_multiply(gen * t, np.asarray(p0, dtype=float))
+    return scipy.sparse.linalg.expm_multiply(gen * t, np.asarray(p0, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ Conventions
   matrices.
 * Eigenvalues are returned ascending; within a degenerate cluster the
   eigenvector basis is arbitrary and nothing may rely on it.
+* entlab modules import only the top-level ``scipy`` package and reach its
+  submodules by attribute (``scipy.linalg.schur``,
+  ``scipy.sparse.linalg.expm_multiply``).  SciPy imports a submodule the
+  first time it is read, so commands that never call SciPy skip the cost of
+  loading it.  A local ``import scipy.linalg`` would rebind the module global
+  that the benchmark's tracer swaps out.
 """
 
 from __future__ import annotations
@@ -24,9 +30,7 @@ import math
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.linalg import LinearOperator
+import scipy
 
 TOL_HERM = 1e-10
 
@@ -162,13 +166,6 @@ def matrix_sqrt_psd(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _matvec(op):
-    if scipy.sparse.issparse(op) or isinstance(op, LinearOperator):
-        return lambda x: op @ x
-    arr = np.asarray(op)
-    return lambda x: arr @ x
-
-
 def lanczos_lowest(
     op,
     k: int = 1,
@@ -211,9 +208,9 @@ def lanczos_lowest(
         raise ValueError("k must be >= 1")
     if k > dim:
         raise ValueError("k exceeds operator dimension")
-    mv = _matvec(op)
     rng = np.random.default_rng(seed)
-    dtype = complex if (np.iscomplexobj(op) or isinstance(op, LinearOperator)) else float
+    dtype = (complex if np.iscomplexobj(op) or isinstance(op, scipy.sparse.linalg.LinearOperator)
+             else float)
 
     found_vals: list[float] = []
     found_vecs: list[np.ndarray] = []
@@ -241,7 +238,7 @@ def lanczos_lowest(
         vector = None
         converged = False
         for it in range(min(maxiter, dim)):
-            w_vec = mv(basis[m - 1])
+            w_vec = op @ basis[m - 1]
             scale = max(scale, float(np.linalg.norm(w_vec)))
             alphas.append(float(np.real(basis[m - 1].conj() @ w_vec)))
             w_vec = w_vec - alphas[-1] * basis[m - 1]
@@ -259,7 +256,7 @@ def lanczos_lowest(
                 tri_w, tri_v = scipy.linalg.eigh_tridiagonal(alphas, betas)
                 value = tri_w[0]
                 vector = basis[:m].T @ tri_v[:, 0]
-                resid = float(np.linalg.norm(mv(vector) - value * vector))
+                resid = float(np.linalg.norm(op @ vector - value * vector))
                 if resid <= tol * scale or spanned:
                     converged = True
                     break

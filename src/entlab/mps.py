@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, check_budget, svd
+from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, NumericalError, check_budget, svd
 from .states import SCHMIDT_CUTOFF, PureState, entropy_from_probabilities
 
 # sign of <Z X Z> on the cluster-state matrices below, fixed by measurement
@@ -288,47 +288,62 @@ def block_entropy(mps: MatrixProductState, cut: int, base=2) -> float:
 # ---------------------------------------------------------------------------
 
 def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
-    """<a|b> including both scales."""
+    """<a|b> including both scales.
+
+    Raises :class:`~entlab.linalg.NumericalError` if the contraction leaves
+    the float range (unnormalized tensors on long chains).
+    """
     if a.nsites != b.nsites or a.local_dim != b.local_dim:
         raise ValueError("states live on different lattices")
     if a.boundary != b.boundary:
         raise ValueError("boundary conditions differ")
-    if a.boundary == "open":
-        env = np.ones((1, 1), dtype=complex)
-        for ta, tb in zip(a.tensors, b.tensors):
-            env = np.einsum("xy,ixa,iyb->ab", env, ta.conj(), tb)
-        out = env[0, 0]
-    else:
-        prod = None
-        for ta, tb in zip(a.tensors, b.tensors):
-            step = np.einsum("ixa,iyb->xyab", ta.conj(), tb)
-            step = step.reshape(ta.shape[1] * tb.shape[1], ta.shape[2] * tb.shape[2])
-            prod = step if prod is None else prod @ step
-        out = np.trace(prod)
-    return complex(np.conj(a.scale) * b.scale * out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.boundary == "open":
+            env = np.ones((1, 1), dtype=complex)
+            for ta, tb in zip(a.tensors, b.tensors):
+                env = np.einsum("xy,ixa,iyb->ab", env, ta.conj(), tb)
+            out = env[0, 0]
+        else:
+            prod = None
+            for ta, tb in zip(a.tensors, b.tensors):
+                step = np.einsum("ixa,iyb->xyab", ta.conj(), tb)
+                step = step.reshape(ta.shape[1] * tb.shape[1], ta.shape[2] * tb.shape[2])
+                prod = step if prod is None else prod @ step
+            out = np.trace(prod)
+        value = np.conj(a.scale) * b.scale * out
+    if not np.isfinite([out, value]).all():
+        raise NumericalError(f"overlap: the contraction {out} left the float range")
+    return complex(value)
 
 
 def expectation(mps: MatrixProductState, ops: dict[int, np.ndarray]) -> complex:
     """Normalized expectation value of a product of single-site operators.
 
     ``ops`` maps site index to a local operator matrix; missing sites get
-    the identity.
+    the identity.  Raises :class:`~entlab.linalg.NumericalError` if the
+    numerator or the norm leaves the float range or the norm is zero.
     """
     d = mps.local_dim
     ident = np.eye(d, dtype=complex)
     num, den = None, None
-    for k, t in enumerate(mps.tensors):
-        o = np.asarray(ops.get(k, ident), dtype=complex)
-        step_o = np.einsum("ji,jxa,iyb->xyab", o, t.conj(), t)
-        step_i = np.einsum("jxa,jyb->xyab", t.conj(), t)
-        sh = (t.shape[1] ** 2, t.shape[2] ** 2)
-        step_o = step_o.reshape(sh)
-        step_i = step_i.reshape(sh)
-        num = step_o if num is None else num @ step_o
-        den = step_i if den is None else den @ step_i
-    if mps.boundary == "open":
-        return complex(num[0, 0] / den[0, 0])
-    return complex(np.trace(num) / np.trace(den))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, t in enumerate(mps.tensors):
+            o = np.asarray(ops.get(k, ident), dtype=complex)
+            step_o = np.einsum("ji,jxa,iyb->xyab", o, t.conj(), t)
+            step_i = np.einsum("jxa,jyb->xyab", t.conj(), t)
+            sh = (t.shape[1] ** 2, t.shape[2] ** 2)
+            step_o = step_o.reshape(sh)
+            step_i = step_i.reshape(sh)
+            num = step_o if num is None else num @ step_o
+            den = step_i if den is None else den @ step_i
+        if mps.boundary == "open":
+            num, den = num[0, 0], den[0, 0]
+        else:
+            num, den = np.trace(num), np.trace(den)
+        value = num / den
+    if not np.isfinite([num, den, value]).all():
+        raise NumericalError(f"expectation: the contraction {num} / {den} is not a finite ratio")
+    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +351,21 @@ def expectation(mps: MatrixProductState, ops: dict[int, np.ndarray]) -> complex:
 # ---------------------------------------------------------------------------
 
 def _uniform_pbc(matrices: list[np.ndarray], n: int) -> MatrixProductState:
-    """Translation-invariant periodic MPS with numerically computed norm."""
+    """Translation-invariant periodic MPS with numerically computed norm.
+
+    Raises :class:`~entlab.linalg.NumericalError` if the norm is not a
+    finite positive float, as on long chains whose transfer matrix has a
+    leading eigenvalue far from 1.
+    """
     d = len(matrices)
     dim = matrices[0].shape[0]
     site = np.stack([np.asarray(m, dtype=complex) for m in matrices])
     transfer = np.einsum("ixa,iyb->xyab", site.conj(), site).reshape(dim * dim, dim * dim)
-    norm_sq = complex(np.trace(np.linalg.matrix_power(transfer, n))).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = complex(np.trace(np.linalg.matrix_power(transfer, n))).real
+    if not 0.0 < norm_sq < math.inf:
+        raise NumericalError(f"the squared norm of the {n}-site periodic MPS is {norm_sq}, "
+                             "outside the float range")
     mps = MatrixProductState([site.copy() for _ in range(n)], boundary="periodic",
                              scale=1.0 / math.sqrt(norm_sq))
     return mps

@@ -37,12 +37,16 @@ TOLERANCES = MappingProxyType({
     "maxent_measures": 1e-10,
     "two_qubit_consistency": 1e-8,
     "ppt_negative_eigenvalue": 1e-10,
+    "witness_separable": 1e-9,
     "choi_psd": 1e-9,
     "haar_sigma": 3.0,
     "haar_approx_rel": 0.02,
     "mps_roundtrip": 1e-10,
     "mps_canonical": 1e-8,
+    "mps_truncation_slack": 1e-10,
     "named_state_residual": 1e-8,
+    "named_state_dense_form": 1e-12,
+    "cluster_stabilizers": 1e-10,
     "classical_superposition": 1e-10,
     "slope_ising": 0.02,
     "slope_xx": 0.03,
@@ -104,7 +108,7 @@ def maxent_measures(d: int, tol=TOLERANCES) -> Outcome:
         for key, want in exact.items())))
 
 
-def witness(p: float, samples: int, seed) -> Outcome:
+def witness(p: float, samples: int, seed, tol=TOLERANCES) -> Outcome:
     """A witness of the weight-``p`` isotropic state, nonnegative on separable ones."""
     rho = states.DensityMatrix(
         (2, 2), p * states.max_entangled(2).projector().matrix + (1 - p) * np.eye(4) / 4)
@@ -119,7 +123,8 @@ def witness(p: float, samples: int, seed) -> Outcome:
         {"p": p, "value_on_target": value, "min_on_separable_samples": minimum,
          "samples": samples},
         _failed((value < 0, "witness-detects-target", f"value {value}"),
-                (minimum >= -1e-9, "witness-separable-positivity", f"min {minimum}")))
+                (minimum >= -tol["witness_separable"], "witness-separable-positivity",
+                 f"min {minimum}")))
 
 
 def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
@@ -207,8 +212,8 @@ def mps_truncate(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
     for bond in _grid(dmax):
         cut, report = mps.truncate(full, bond)
         actual = float(np.linalg.norm(psi.amplitudes - cut.dense_amplitudes()) ** 2)
-        failed += _failed((actual <= report.bound + 1e-10, "truncation-bound",
-                           f"{actual} > {report.bound}"))
+        failed += _failed((actual <= report.bound + tol["mps_truncation_slack"],
+                           "truncation-bound", f"{actual} > {report.bound}"))
     return Outcome(
         {"sites": sites, "dmax": dmax, "bound": report.bound, "distance_sq": actual,
          "csv": "mps_truncate.csv"},
@@ -242,14 +247,16 @@ def named_state(name: str, sites: int, tol=TOLERANCES, save=None) -> Outcome:
         dev = float(min(np.linalg.norm(psi.amplitudes - target),
                         np.linalg.norm(psi.amplitudes + target)))
         values["dense_form_deviation"] = dev
-        check = (dev <= 1e-12, "named-state-dense-form", f"deviation {dev:.1e}")
+        check = (dev <= tol["named_state_dense_form"], "named-state-dense-form",
+                 f"deviation {dev:.1e}")
     elif name == "cluster":
         vals = [mps.expectation(state, {(i - 1) % n: PAULI_Z, i: PAULI_X,
                                         (i + 1) % n: PAULI_Z}).real
                 for i in range(n)]
         dev = float(np.abs(np.asarray(vals) - mps.CLUSTER_STABILIZER_SIGN).max())
         values.update(stabilizer_sign=mps.CLUSTER_STABILIZER_SIGN, stabilizer_deviation=dev)
-        check = (dev <= 1e-10, "cluster-stabilizers", f"deviation {dev:.1e}")
+        check = (dev <= tol["cluster_stabilizers"], "cluster-stabilizers",
+                 f"deviation {dev:.1e}")
     else:
         # aklt / mg: ground-state residual against exact diagonalization; it
         # also bounds the energy gap, |<psi|H - E0|psi>| <= ||(H - E0) psi||.

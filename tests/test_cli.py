@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,6 +196,19 @@ def test_commands_read_thresholds_from_the_table(tmp_path, capsys):
         "command"] == "kinetic-evolve"
 
 
+def test_thresholds_named_in_the_table(tmp_path, capsys):
+    # the GHZ dense-form deviation is about 1e-16: it passes the default and fails 0
+    assert run(tmp_path, "--tol", "named_state_dense_form=0",
+               "mps", "named", "--state", "ghz", "--sites", "8") == 1
+    assert "named-state-dense-form" in capsys.readouterr().err
+    for name, argv in (("witness_separable", ["witness", "--samples", "10"]),
+                       ("mps_truncation_slack", ["mps", "truncate", "--dmax", "2"]),
+                       ("cluster_stabilizers", ["mps", "named", "--state", "cluster"])):
+        assert run(tmp_path, "--tol", f"{name}=0.5", *argv) == 0, name
+        manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+        assert manifest["tolerances"][name] == 0.5
+
+
 def test_selftest_stops_at_first_failure(tmp_path, capsys):
     assert run(tmp_path, "--tol", "two_qubit_consistency=1e-30",
                "selftest", "--only", "2,3") == 1
@@ -248,6 +264,71 @@ def test_phi_grid_below_two_is_rejected(capsys):
         assert "--phi-grid" in capsys.readouterr().err
     args = build_parser().parse_args(["kinetic", "spectra", "--phi-grid", "2"])
     assert args.phi_grid == 2
+
+
+@pytest.mark.parametrize("value", ["0.5,x", "", "0.5,", ",", "1.5", "-0.1", "nan", "inf",
+                                   "0.9;0.99"])
+def test_gamma_grid_is_checked_at_parse_time(tmp_path, capsys, value):
+    # checked for either model, although only single-flip scans it
+    for model in ("two-flip", "single-flip"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "kinetic", "spectra", "--model", model, "--sites", "4",
+                "--gamma-grid", value)
+        assert exc.value.code == 2
+        assert "--gamma-grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_valid_gamma_grid_reaches_the_manifest_as_given(tmp_path, capsys):
+    assert build_parser().parse_args(["kinetic", "spectra", "--gamma-grid", "0,1"]).gamma_grid \
+        == "0,1"
+    assert run(tmp_path, "kinetic", "spectra", "--model", "single-flip", "--sites", "4",
+               "--tau-pattern", "uniform-down", "--gamma-grid", "0.5,0.9", "--levels", "1") == 0
+    manifest = json.loads((tmp_path / "kinetic_spectra_manifest.json").read_text())
+    assert manifest["params"]["gamma_grid"] == "0.5,0.9"
+    rows = (tmp_path / "kinetic_spectra.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["0.5", "0.9"]
+
+
+@pytest.mark.parametrize("state, sites", [("ghz", "600"), ("aklt", "700"), ("cluster", "2000")])
+def test_mps_norm_overflow_exits_4(tmp_path, capsys, state, sites):
+    # before, these warned of overflow and then exited 3 (ghz, aklt) or 1 (cluster)
+    assert run(tmp_path, "mps", "named", "--state", state, "--sites", sites) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def fresh_python(*argv):
+    """Run a new interpreter that imports entlab from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    # cold start: entlab modules reach scipy.linalg and scipy.sparse through
+    # the top-level package on first use, so commands that need neither skip
+    # their import
+    out = fresh_python("-c", "import sys, entlab.cli; entlab.cli.build_parser(); "
+                             "print(sorted(m for m in sys.modules if m in "
+                             "('scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg')))")
+    assert out.stdout.strip() == "[]"
+
+
+def test_first_scipy_use_in_pool_threads_matches_serial(tmp_path):
+    # at 11 sites every sector solve builds a sparse matrix and runs Lanczos,
+    # so with two workers the first scipy.sparse and scipy.linalg lookups
+    # race between pool threads
+    bodies = []
+    for workers in ("1", "2"):
+        fresh_python("-m", "entlab.cli", "--out", str(tmp_path / workers), "--workers", workers,
+                     "kinetic", "spectra", "--model", "two-flip", "--sites", "11")
+        bodies.append((tmp_path / workers / "kinetic_spectra.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+    assert len(bodies[0].splitlines()) == 1 + 9 * 4
 
 
 def readme_commands():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from entlab.linalg import PAULI_X, PAULI_Z, ResourceLimitError
+from entlab.linalg import PAULI_X, PAULI_Z, NumericalError, ResourceLimitError
 from entlab.mps import (
     CLUSTER_STABILIZER_SIGN,
     MatrixProductState,
+    aklt_mps,
     antiferro_ghz_mps,
     block_entropy,
     canonical_defects,
@@ -347,6 +348,29 @@ def test_dense_limit_guard():
     mps = ghz_mps(18)
     with pytest.raises(ResourceLimitError):
         mps.to_dense()
+
+
+@pytest.mark.parametrize("build, last, first", [
+    (ghz_mps, 511, 512), (aklt_mps, 646, 647), (cluster_mps, 1023, 1024),
+    (majumdar_ghosh_mps, 2044, 2046),
+])
+def test_norm_overflow_is_a_numerical_error(build, last, first):
+    # the squared norm grows geometrically with the chain; past the float
+    # range it is inf or nan, which must neither warn nor become a scale of 0
+    assert 0 < abs(build(last).scale) < math.inf
+    with pytest.raises(NumericalError, match="float range"):
+        build(first)
+
+
+def test_periodic_contraction_outside_the_float_range_is_a_numerical_error():
+    huge = MatrixProductState([np.full((2, 2, 2), 1e200)] * 4, boundary="periodic")
+    with pytest.raises(NumericalError):
+        overlap(huge, huge)
+    with pytest.raises(NumericalError):
+        expectation(huge, {0: PAULI_Z})
+    zero = MatrixProductState([np.zeros((2, 2, 2))] * 4, boundary="periodic")
+    with pytest.raises(NumericalError):
+        expectation(zero, {})
 
 
 def test_json_roundtrip_lossless():
