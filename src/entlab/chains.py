@@ -146,6 +146,12 @@ class SpinHamiltonian:
             rows, cols, data = rows[keep], cols[keep], data[keep]
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
 
+    def operator(self):
+        """:meth:`dense` up to ``BUDGET["dense_dim"]``, :meth:`sparse` above."""
+        dim = self.local_dim ** self.nsites
+        check_budget("lanczos_max_dim", dim, "sparse diagonalization dimension")
+        return self.dense() if dim <= BUDGET["dense_dim"] else self.sparse()
+
     def classify_terms(self, cut: int):
         """Split terms into (inside A, crossing, inside B) for A = sites [0, cut)."""
         inside_a, crossing, inside_b = [], [], []
@@ -227,33 +233,35 @@ def build_cluster(sign: int, n: int, bc: str = "periodic") -> SpinHamiltonian:
     return ham
 
 
-def ground_state(ham: SpinHamiltonian, k: int = 1, method: str = "auto",
-                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-k eigenpairs; dense up to ``BUDGET["ground_state_dense_dim"]``, Lanczos above.
+def lowest_levels(op, k: int = 1, seed: int = 0, vectors: bool = False):
+    """Lowest ``k`` eigenvalues of a Hermitian operator, ascending.
 
-    Returns (energies ascending, eigenvector columns) with verified residuals.
+    The one place that picks the eigensolver: ``eigvalsh`` (``eigh`` with
+    ``vectors``) for a dense ``op``, ``lanczos_lowest`` for a sparse one, as
+    :meth:`SpinHamiltonian.operator` builds them.  With ``vectors`` it returns
+    (energies, eigenvector columns) after verifying their residuals.
     """
-    dim = ham.local_dim ** ham.nsites
-    if method == "auto":
-        method = "dense" if dim <= BUDGET["ground_state_dense_dim"] else "lanczos"
-    if method == "dense":
-        check_budget("dense_eigh_max_dim", dim, "dense diagonalization dimension")
-        mat = ham.dense()
-        w, v = np.linalg.eigh(mat)
+    if k > op.shape[0]:  # lanczos_lowest raises the same; eigvalsh would return fewer
+        raise ValueError("k exceeds operator dimension")
+    if isinstance(op, np.ndarray):
+        if not vectors:
+            return np.linalg.eigvalsh(op)[:k]
+        w, v = np.linalg.eigh(op)
         w, v = w[:k], v[:, :k]
-        op = mat
-    elif method == "lanczos":
-        check_budget("lanczos_max_dim", dim, "sparse diagonalization dimension")
-        op = ham.sparse()
-        w, v = lanczos_lowest(op, k=k, seed=seed, return_vectors=True)
+    elif not vectors:
+        return lanczos_lowest(op, k=k, seed=seed)
     else:
-        raise ValueError("method must be auto, dense, or lanczos")
-    scale = max(1.0, float(np.abs(w).max()))
-    for i in range(k):
-        resid = np.linalg.norm(op @ v[:, i] - w[i] * v[:, i])
-        if resid > 1e-8 * scale:
-            raise NumericalError(f"eigenpair residual {resid:.2e} too large")
+        w, v = lanczos_lowest(op, k=k, seed=seed, return_vectors=True)
+    resid = float(np.linalg.norm(op @ v - v * w, axis=0).max())
+    if resid > 1e-8 * max(1.0, float(np.abs(w).max())):
+        raise NumericalError(f"eigenpair residual {resid:.2e} too large")
     return w, v
+
+
+def ground_state(ham: SpinHamiltonian, k: int = 1,
+                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-k eigenpairs (energies ascending, eigenvector columns), verified."""
+    return lowest_levels(ham.operator(), k, seed, vectors=True)
 
 
 @dataclass(frozen=True)
@@ -369,13 +377,17 @@ def _ring_probabilities(coupling, beta: float, n: int, values) -> np.ndarray:
     return weights / weights.sum(), digits
 
 
-def _marginal_entropy_bits(p: np.ndarray, digits: np.ndarray, sites, d: int) -> float:
+def _marginal(p: np.ndarray, digits: np.ndarray, sites, d: int):
+    """(marginal key of every configuration, marginal distribution) on ``sites``."""
     sites = sorted(sites)
     key = np.zeros(len(p), dtype=np.int64)
     for rank, s in enumerate(sites):
         key += digits[:, s] * d ** rank
-    marg = np.bincount(key, weights=p, minlength=d ** len(sites))
-    return entropy_from_probabilities(marg, 2)
+    return key, np.bincount(key, weights=p, minlength=d ** len(sites))
+
+
+def _marginal_entropy_bits(p: np.ndarray, digits: np.ndarray, sites, d: int) -> float:
+    return entropy_from_probabilities(_marginal(p, digits, sites, d)[1], 2)
 
 
 def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
@@ -416,17 +428,9 @@ def markov_violation(coupling, beta: float, n: int, site_c1: int, site_c2: int,
         raise ValueError("need two distinct separator sites")
     arc_a = [s for s in range(c[0] + 1, c[1])]
     arc_b = [s for s in list(range(c[1] + 1, n)) + list(range(0, c[0]))]
-
-    def keys_and_marginal(sites):
-        sites = sorted(sites)
-        key = np.zeros(len(p), dtype=np.int64)
-        for rank, s in enumerate(sites):
-            key += digits[:, s] * d ** rank
-        return key, np.bincount(key, weights=p, minlength=d ** len(sites))
-
-    key_ac, p_ac = keys_and_marginal(arc_a + c)
-    key_bc, p_bc = keys_and_marginal(arc_b + c)
-    key_c, p_c = keys_and_marginal(c)
+    key_ac, p_ac = _marginal(p, digits, arc_a + c, d)
+    key_bc, p_bc = _marginal(p, digits, arc_b + c, d)
+    key_c, p_c = _marginal(p, digits, c, d)
     pc = p_c[key_c]
     valid = pc > 0
     rhs = np.zeros_like(p)

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of phi values on [0, pi/4], at least 2")
     p.add_argument("--gamma-grid", type=_gamma_grid, default="0.9,0.99,0.999",
                    help="comma-separated gamma values in [0, 1] (single-flip)")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=_int_at_least(1, "levels"), default=4)
     p.add_argument("--delta", type=float, default=0.0)
     p.set_defaults(fn=cmd_kinetic_spectra)
 

@@ -15,6 +15,7 @@ from entlab.chains import (
     free_energy,
     free_fermion_entropy_scan,
     ground_state,
+    lowest_levels,
     markov_violation,
     mutual_info_area_check,
     spin1_matrices,
@@ -27,7 +28,7 @@ from entlab.kinetic import (
     build_h_tau_single_flip,
     build_h_tau_two_flip,
 )
-from entlab.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
+from entlab.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, lanczos_lowest
 from entlab.mps import aklt_mps, cluster_mps, majumdar_ghosh_mps
 from entlab.states import DensityMatrix, PureState, random_density
 
@@ -79,9 +80,17 @@ def test_ground_state_polarized():
 
 def test_ground_state_dense_vs_lanczos():
     ham = build_xy(1.0, 1.0, 10)
-    wd, _ = ground_state(ham, k=2, method="dense")
-    wl, _ = ground_state(ham, k=2, method="lanczos")
+    wd, _ = ground_state(ham, k=2)  # dense at dimension 1024
+    wl = lanczos_lowest(ham.sparse(), k=2, seed=0)
     assert np.abs(wd - wl).max() <= 1e-9
+
+
+def test_lowest_levels_reject_more_levels_than_the_dimension():
+    ham = build_xy(1.0, 1.0, 4)
+    for op in (ham.dense(), ham.sparse()):
+        assert lowest_levels(op, k=16).shape == (16,)
+        with pytest.raises(ValueError, match="exceeds"):
+            lowest_levels(op, k=17)
 
 
 def test_sparse_matches_dense():
@@ -165,7 +174,7 @@ def test_free_fermion_matches_dense_grid():
     for gamma in (0.0, 0.5, 1.0):
         for h in (0.25, 0.8, 1.5):
             ham = build_xy(gamma, h, n)
-            _, v = ground_state(ham, k=1, method="dense")
+            _, v = ground_state(ham, k=1)  # dense at dimension 1024
             psi = PureState((2,) * n, v[:, 0])
             dense_scan = block_entropy_scan(psi, [2, 3, 5])
             ff_scan = free_fermion_entropy_scan(gamma, h, n, [2, 3, 5], abscissa="log2n")
@@ -179,7 +188,7 @@ def test_free_fermion_matches_dense_n12():
     n = 12
     for gamma, h in ((1.0, 1.0), (0.5, 1.2)):
         ham = build_xy(gamma, h, n)
-        _, v = ground_state(ham, k=1, method="lanczos")
+        _, v = ground_state(ham, k=1)  # Lanczos at dimension 4096
         psi = PureState((2,) * n, v[:, 0])
         dense_scan = block_entropy_scan(psi, [3, 6])
         ff_scan = free_fermion_entropy_scan(gamma, h, n, [3, 6], abscissa="log2n")

@@ -229,7 +229,7 @@ def test_unknown_selftest_criterion_is_rejected(capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     import numpy as np
 
-    import entlab.selftest as st
+    import entlab.chains as chains
     from entlab.linalg import NumericalError
 
     def not_converged(*args, **kwargs):
@@ -238,7 +238,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     def lapack_failure(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(st, "lanczos_lowest", not_converged)
+    monkeypatch.setattr(chains, "lanczos_lowest", not_converged)
     assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "8") == 4
     assert "did not converge" in capsys.readouterr().err
     monkeypatch.setattr(np.linalg, "eigh", lapack_failure)
@@ -246,6 +246,30 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure") and "Traceback" not in err
     assert not (tmp_path / "classical_superposition_manifest.json").exists()
+
+
+def test_mps_truncate_without_dmax_is_rejected(tmp_path, capsys):
+    assert run(tmp_path, "mps", "truncate", "--sites", "6") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and "--dmax" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_arealaw_block_size_below_one_is_rejected(tmp_path, capsys):
+    for nmin in ("0", "-2"):
+        assert run(tmp_path, "arealaw", "--gamma", "1", "--h", "1", "--nmin", nmin) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration") and "nmin" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_levels_below_one_are_rejected(tmp_path, capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "kinetic", "spectra", "--sites", "6", "--levels", value)
+        assert exc.value.code == 2
+        assert "--levels" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_selftest_subset(tmp_path, capsys):
@@ -308,14 +332,19 @@ def fresh_python(*argv):
                           check=True, timeout=120)
 
 
-def test_cli_import_loads_no_scipy_submodule():
+def test_cli_import_loads_no_scipy_submodule(tmp_path):
     # cold start: entlab modules reach scipy.linalg and scipy.sparse through
     # the top-level package on first use, so commands that need neither skip
     # their import
-    out = fresh_python("-c", "import sys, entlab.cli; entlab.cli.build_parser(); "
-                             "print(sorted(m for m in sys.modules if m in "
-                             "('scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg')))")
+    loaded = ("print(sorted(m for m in sys.modules if m in "
+              "('scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg')))")
+    out = fresh_python("-c", "import sys, entlab.cli; entlab.cli.build_parser(); " + loaded)
     assert out.stdout.strip() == "[]"
+    # the dense side of the eigensolver crossover: AKLT at 3^6 needs numpy only
+    argv = ["--out", str(tmp_path), "mps", "named", "--state", "aklt", "--sites", "6"]
+    out = fresh_python("-c", f"import sys, entlab.cli; assert entlab.cli.main({argv!r}) == 0; "
+                             + loaded)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_first_scipy_use_in_pool_threads_matches_serial(tmp_path):

@@ -39,7 +39,7 @@ def test_sector_selection_reproduces_dense_energy():
     from entlab.chains import build_xy, ground_state
 
     for gamma, h in ((1.0, 1.0), (0.3, 0.4), (0.0, 1.1)):
-        w, _ = ground_state(build_xy(gamma, h, 8), k=1, method="dense")
+        w, _ = ground_state(build_xy(gamma, h, 8), k=1)
         e = xy_ground_energy_free_fermion(gamma, h, 8, bc="periodic")
         assert e == pytest.approx(w[0], abs=1e-10)
 

@@ -150,6 +150,45 @@ def test_detailed_balance_negative_control():
     assert set(pair) == {0, 1}
 
 
+def detailed_balance_reference(gen, energies, beta):
+    """Entry-by-entry form of detailed_balance_violation, over a dict of rates."""
+    coo = gen.tocoo()
+    boltz = np.exp(-beta * (energies - energies.min()))
+    worst, worst_pair = 0.0, (0, 0)
+    lhs_all = {}
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        if r != c:
+            lhs_all[(r, c)] = v
+    for (t, s), w_ts in lhs_all.items():
+        w_st = lhs_all.get((s, t), 0.0)
+        lhs = w_ts * boltz[s]
+        rhs = w_st * boltz[t]
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        rel = abs(lhs - rhs) / scale
+        if rel > worst:
+            worst, worst_pair = rel, (int(s), int(t))
+    return worst, worst_pair
+
+
+def test_detailed_balance_matches_the_entrywise_reference():
+    cases = []
+    for n in (5, 8, 12):
+        for model in (KineticModel.single_flip(n, beta=0.4, delta=0.3),
+                      KineticModel.two_flip(n, beta=0.4)):
+            cases.append((build_generator(model), ising_energies(n), model.beta))
+    model = KineticModel.single_flip(5, gamma=0.5)
+    corrupted = build_generator(model).tolil()
+    corrupted[1, 0] *= 1.01
+    cases.append((corrupted.tocsr(), ising_energies(5), model.beta))
+    # rates of the wrong temperature violate every reversible pair
+    cases.append((build_generator(model), ising_energies(5), 0.7 * model.beta))
+    for gen, energies, beta in cases:
+        worst, pair = detailed_balance_violation(gen, energies, beta)
+        want, want_pair = detailed_balance_reference(gen, energies, beta)
+        assert type(worst) is type(want) and repr(worst) == repr(want) and pair == want_pair
+    assert detailed_balance_violation(*cases[-2])[0] > 1e-3
+
+
 def test_symmetrize_structure():
     for delta in (0.0, 0.2):
         model = KineticModel.single_flip(6, gamma=0.6, delta=delta)

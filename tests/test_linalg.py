@@ -224,10 +224,7 @@ def _over_budget_cases():
 
     rho8 = states.random_density((2,) * 8, np.random.default_rng(0))
     return {
-        "dense_eigh_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 15),
-                                                          method="dense"),
-        "lanczos_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 21),
-                                                       method="lanczos"),
+        "lanczos_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 21)),
         "thermal_state_max_dim": lambda: chains.thermal_state(chains.build_xy(1, 1, 14), 1.0),
         "classical_ring_max_sites": lambda: chains.classical_gibbs_mutual_info(
             lambda a, b: -a * b, 0.5, 21, 10),
@@ -266,19 +263,21 @@ def test_cheap_limits_pass_at_their_value():
     assert mps.aklt_mps(10).to_dense()[0].dim == 3 ** 10
 
 
-def test_crossovers_are_dense_up_to_their_dimension(monkeypatch):
-    from entlab import kinetic, selftest
+def test_one_crossover_is_dense_up_to_1024(monkeypatch):
+    from entlab import chains, kinetic, selftest
 
     calls = []
-    for module in (kinetic, selftest):
-        original = module.lanczos_lowest
-        monkeypatch.setattr(module, "lanczos_lowest",
-                            lambda *a, _f=original, **k: calls.append(a[0].shape[0]) or _f(*a, **k))
-    # named-state oracle (crossover 2048): dense for AKLT at 3^6, Lanczos at 3^7
-    selftest.named_state("aklt", 6)
+    original = chains.lanczos_lowest
+    monkeypatch.setattr(chains, "lanczos_lowest",
+                        lambda op, **k: calls.append(op.shape[0]) or original(op, **k))
+    # named-state oracle: Majumdar-Ghosh at 2^10 is dense; no named state has
+    # dimension 2048 (MG needs an even N, AKLT is 3^N), so AKLT at 3^7 is the
+    # first one above the crossover
+    selftest.named_state("mg", 10)
     selftest.named_state("aklt", 7)
-    # spectra scan: dense at dim 1024 (10 sites), Lanczos at 2048
     for n in (10, 11):
         kinetic.sector_spectra_scan("two-flip", n, [kinetic.TauSector.adjacent_pair_up(n)],
                                     [0.1], k=2)
-    assert calls == [3 ** 7, 2 ** 11]
+    for n in (10, 11):
+        chains.ground_state(chains.build_xy(1.0, 1.0, n))
+    assert calls == [3 ** 7, 2 ** 11, 2 ** 11]
