@@ -318,7 +318,7 @@ def free_fermion_entropy_scan(gamma: float, h: float, n: int, block_sizes,
 def thermal_state(ham: SpinHamiltonian, beta: float) -> DensityMatrix:
     """Gibbs state exp(-beta H)/Z by dense eigendecomposition."""
     dim = ham.local_dim ** ham.nsites
-    check_budget("thermal_state_max_dim", dim, "thermal state dimension")
+    check_budget("full_spectrum_max_dim", dim, "thermal state dimension")
     w, v = np.linalg.eigh(ham.dense())
     boltz = np.exp(-beta * (w - w.min()))
     boltz /= boltz.sum()

@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output directory (default: $ENTLAB_OUTDIR or '.')")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=_int_at_least(1, "workers"),
+                        default=os.cpu_count() or 1)
     parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                         help="override a named tolerance; logged in the manifest")
     sub = parser.add_subparsers(dest="command", required=True)

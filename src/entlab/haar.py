@@ -27,6 +27,7 @@ to drawing one sample at a time, so results do not depend on the block size.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -136,14 +137,8 @@ def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
         # running sums in draw order, as a scalar loop would add them
         return float(np.cumsum(s)[-1]), float(np.cumsum(s * s)[-1])
 
-    tasks = list(zip(counts, streams))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, tasks))
-    else:
-        partials = [run_block(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(run_block, zip(counts, streams)))
     total = sum(p[0] for p in partials)
     total_sq = sum(p[1] for p in partials)
     mean = total / samples

@@ -208,8 +208,12 @@ def ising_energies(n: int, coupling: float = 1.0) -> np.ndarray:
     return -coupling * (s * np.roll(s, -1, axis=1)).sum(axis=1)
 
 
-def glauber_rate(spins, i: int, model: KineticModel) -> float:
-    """Single-flip rate for flipping site i of the given configuration."""
+def glauber_rate(spins, i: int, model: KineticModel) -> float | np.ndarray:
+    """Single-flip rate for flipping site i.
+
+    ``spins[j]`` holds site j: a single spin gives the rate of one
+    configuration, a row of spins (``config_spins(n).T``) the rate of each.
+    """
     if model.flip != "single":
         raise ValueError("model is not a single-flip family")
     s = np.asarray(spins)
@@ -220,8 +224,8 @@ def glauber_rate(spins, i: int, model: KineticModel) -> float:
     )
 
 
-def two_flip_rate(spins, i: int, model: KineticModel) -> float:
-    """Pair-flip rate for flipping sites (i, i+1)."""
+def two_flip_rate(spins, i: int, model: KineticModel) -> float | np.ndarray:
+    """Pair-flip rate for flipping sites (i, i+1); ``spins`` as in :func:`glauber_rate`."""
     if model.flip != "pair":
         raise ValueError("model is not a pair-flip family")
     s = np.asarray(spins)
@@ -234,22 +238,10 @@ def two_flip_rate(spins, i: int, model: KineticModel) -> float:
 def _rate_table(model: KineticModel) -> tuple[np.ndarray, list[int]]:
     """Rates for every (configuration, move) pair plus the move flip masks."""
     n = model.nsites
-    s = config_spins(n)
-    rates = np.empty((n, 2 ** n))
-    masks = []
-    for i in range(n):
-        if model.flip == "single":
-            left, right = s[:, (i - 1) % n], s[:, (i + 1) % n]
-            rates[i] = model.rate_scale * (1.0 + model.delta * left * right) * (
-                1.0 - 0.5 * model.gamma * s[:, i] * (left + right)
-            )
-            masks.append(_site_mask(n, i))
-        else:
-            a = s[:, (i - 1) % n] * s[:, i]
-            b = s[:, (i + 1) % n] * s[:, (i + 2) % n]
-            rates[i] = model.rate_scale * (1.0 - 0.5 * model.gamma * (a + b))
-            masks.append(_site_mask(n, i, i + 1))
-    return rates, masks
+    s = config_spins(n).T
+    rate, width = (glauber_rate, 1) if model.flip == "single" else (two_flip_rate, 2)
+    rates = np.array([rate(s, i, model) for i in range(n)])
+    return rates, [_site_mask(n, *range(i, i + width)) for i in range(n)]
 
 
 def build_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
@@ -313,7 +305,7 @@ def _generator_balance(model: KineticModel):
 def check_detailed_balance(model: KineticModel, tol: float = 1e-10):
     """(passes, max relative violation) for the model's thermal rates."""
     worst = _generator_balance(model)[2]
-    return worst <= tol, worst
+    return bool(worst <= tol), worst
 
 
 def symmetrize(model: KineticModel) -> np.ndarray:
@@ -324,6 +316,7 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     passed the detailed-balance check is the one scaled.  H is PSD in exact
     arithmetic; :func:`symmetrized_eigh` diagonalizes it and checks that.
     """
+    check_budget("full_spectrum_max_dim", 2 ** model.nsites, "symmetrized generator dimension")
     gen, energies, worst = _generator_balance(model)
     if not worst <= 1e-10:
         raise ValueError(f"detailed balance violated at {worst:.2e}")
@@ -660,11 +653,8 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
             for idx, val in enumerate(w)
         ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(solve, tasks))
-    else:
-        chunks = [solve(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(solve, tasks))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["tau_code"], r["phi_or_gamma"], r["level_index"]))
     return rows

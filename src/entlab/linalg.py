@@ -50,7 +50,7 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 BUDGET = MappingProxyType({
     "dense_dim": 1024,                     # SpinHamiltonian.operator
     "lanczos_max_dim": 2 ** 20,            # SpinHamiltonian.operator
-    "thermal_state_max_dim": 2 * 4096,     # chains.thermal_state
+    "full_spectrum_max_dim": 2 * 4096,     # chains.thermal_state, kinetic.symmetrize
     "classical_ring_max_sites": 20,        # chains.classical_gibbs_mutual_info
     "generator_max_sites": 20,             # kinetic.build_generator
     "direct_evolve_max_sites": 7,          # kinetic.direct_evolve, kinetic evolve
@@ -182,7 +182,7 @@ def lanczos_lowest(
 
     Parameters
     ----------
-    op : ndarray, sparse matrix or LinearOperator
+    op : ndarray or sparse matrix
         Hermitian operator (real symmetric or complex Hermitian).
     k : int
         Number of lowest eigenvalues.
@@ -207,8 +207,7 @@ def lanczos_lowest(
     if k > dim:
         raise ValueError("k exceeds operator dimension")
     rng = np.random.default_rng(seed)
-    dtype = (complex if np.iscomplexobj(op) or isinstance(op, scipy.sparse.linalg.LinearOperator)
-             else float)
+    dtype = complex if np.iscomplexobj(op) else float
 
     found_vals: list[float] = []
     found_vecs: list[np.ndarray] = []

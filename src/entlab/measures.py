@@ -260,7 +260,6 @@ def extended_reduction_map(u: np.ndarray, d: int) -> QuantumMap:
     if w[-1] > 1.0 + 1e-10:
         raise ValueError("U must satisfy U^dag U <= 1")
     red = choi_matrix(reduction_map(d))
-    extra = choi_matrix(QuantumMap(d, d, kraus_pairs=[(1.0, u)]))
     # Choi of X -> U X^T U^dag equals (1 (x) U) Choi(T) (1 (x) U)^dag
     t_choi = choi_matrix(transposition_map(d))
     lift = kron(np.eye(d), u)
@@ -286,29 +285,18 @@ def reduction_map_kraus_decomposition(d: int) -> list[np.ndarray]:
     ]
 
 
-def apply_map(qmap: QuantumMap, rho: DensityMatrix, on: str = "B", cut: int = 1) -> np.ndarray:
-    """(I (x) Lambda)(rho) for on='B', (Lambda (x) I)(rho) for on='A'."""
+def apply_map(qmap: QuantumMap, rho: DensityMatrix, cut: int = 1) -> np.ndarray:
+    """(I (x) Lambda)(rho), with Lambda acting on B, the subsystems from ``cut`` on."""
     da = int(np.prod(rho.dims[:cut]))
     db = rho.dim // da
-    if on == "B":
-        if qmap.dim_in != db:
-            raise ValueError("map input dimension does not match subsystem B")
-        t = rho.matrix.reshape(da, db, da, db)
-        out = np.zeros((da, qmap.dim_out, da, qmap.dim_out), dtype=complex)
-        for i in range(da):
-            for j in range(da):
-                out[i, :, j, :] = qmap(t[i, :, j, :])
-        return out.reshape(da * qmap.dim_out, da * qmap.dim_out)
-    if on == "A":
-        if qmap.dim_in != da:
-            raise ValueError("map input dimension does not match subsystem A")
-        t = rho.matrix.reshape(da, db, da, db)
-        out = np.zeros((qmap.dim_out, db, qmap.dim_out, db), dtype=complex)
-        for mu in range(db):
-            for nu in range(db):
-                out[:, mu, :, nu] = qmap(t[:, mu, :, nu])
-        return out.reshape(qmap.dim_out * db, qmap.dim_out * db)
-    raise ValueError("on must be 'A' or 'B'")
+    if qmap.dim_in != db:
+        raise ValueError("map input dimension does not match subsystem B")
+    t = rho.matrix.reshape(da, db, da, db)
+    out = np.zeros((da, qmap.dim_out, da, qmap.dim_out), dtype=complex)
+    for i in range(da):
+        for j in range(da):
+            out[i, :, j, :] = qmap(t[i, :, j, :])
+    return out.reshape(da * qmap.dim_out, da * qmap.dim_out)
 
 
 def choi_matrix(qmap: QuantumMap) -> np.ndarray:

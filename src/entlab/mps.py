@@ -31,6 +31,7 @@ reports each ``eps`` and the bound.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -287,6 +288,26 @@ def block_entropy(mps: MatrixProductState, cut: int, base=2) -> float:
 # contraction
 # ---------------------------------------------------------------------------
 
+def _transfer(ta: np.ndarray, tb: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
+    """Transfer matrix of one site, ``sum_ij op[j, i] conj(ta[j]) (x) tb[i]``.
+
+    Rows pair the left bonds of ``ta`` and ``tb``, columns their right bonds;
+    without ``op`` the physical index is contracted directly.
+    """
+    if op is None:
+        step = np.einsum("ixa,iyb->xyab", ta.conj(), tb)
+    else:
+        step = np.einsum("ji,jxa,iyb->xyab", op, ta.conj(), tb)
+    return step.reshape(ta.shape[1] * tb.shape[1], ta.shape[2] * tb.shape[2])
+
+
+def _contract(steps, boundary: str) -> complex:
+    """Product of the transfer matrices, closed by the boundary: ``[0, 0]``
+    of an open chain's trivial edge bonds, the trace of a periodic one."""
+    prod = functools.reduce(np.matmul, steps)
+    return prod[0, 0] if boundary == "open" else np.trace(prod)
+
+
 def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
     """<a|b> including both scales.
 
@@ -298,18 +319,7 @@ def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
     if a.boundary != b.boundary:
         raise ValueError("boundary conditions differ")
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.boundary == "open":
-            env = np.ones((1, 1), dtype=complex)
-            for ta, tb in zip(a.tensors, b.tensors):
-                env = np.einsum("xy,ixa,iyb->ab", env, ta.conj(), tb)
-            out = env[0, 0]
-        else:
-            prod = None
-            for ta, tb in zip(a.tensors, b.tensors):
-                step = np.einsum("ixa,iyb->xyab", ta.conj(), tb)
-                step = step.reshape(ta.shape[1] * tb.shape[1], ta.shape[2] * tb.shape[2])
-                prod = step if prod is None else prod @ step
-            out = np.trace(prod)
+        out = _contract(map(_transfer, a.tensors, b.tensors), a.boundary)
         value = np.conj(a.scale) * b.scale * out
     if not np.isfinite([out, value]).all():
         raise NumericalError(f"overlap: the contraction {out} left the float range")
@@ -323,23 +333,11 @@ def expectation(mps: MatrixProductState, ops: dict[int, np.ndarray]) -> complex:
     the identity.  Raises :class:`~entlab.linalg.NumericalError` if the
     numerator or the norm leaves the float range or the norm is zero.
     """
-    d = mps.local_dim
-    ident = np.eye(d, dtype=complex)
-    num, den = None, None
+    ident = np.eye(mps.local_dim, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, t in enumerate(mps.tensors):
-            o = np.asarray(ops.get(k, ident), dtype=complex)
-            step_o = np.einsum("ji,jxa,iyb->xyab", o, t.conj(), t)
-            step_i = np.einsum("jxa,jyb->xyab", t.conj(), t)
-            sh = (t.shape[1] ** 2, t.shape[2] ** 2)
-            step_o = step_o.reshape(sh)
-            step_i = step_i.reshape(sh)
-            num = step_o if num is None else num @ step_o
-            den = step_i if den is None else den @ step_i
-        if mps.boundary == "open":
-            num, den = num[0, 0], den[0, 0]
-        else:
-            num, den = np.trace(num), np.trace(den)
+        num = _contract((_transfer(t, t, np.asarray(ops.get(k, ident), dtype=complex))
+                         for k, t in enumerate(mps.tensors)), mps.boundary)
+        den = _contract((_transfer(t, t) for t in mps.tensors), mps.boundary)
         value = num / den
     if not np.isfinite([num, den, value]).all():
         raise NumericalError(f"expectation: the contraction {num} / {den} is not a finite ratio")
@@ -357,10 +355,8 @@ def _uniform_pbc(matrices: list[np.ndarray], n: int) -> MatrixProductState:
     finite positive float, as on long chains whose transfer matrix has a
     leading eigenvalue far from 1.
     """
-    d = len(matrices)
-    dim = matrices[0].shape[0]
     site = np.stack([np.asarray(m, dtype=complex) for m in matrices])
-    transfer = np.einsum("ixa,iyb->xyab", site.conj(), site).reshape(dim * dim, dim * dim)
+    transfer = _transfer(site, site)
     with np.errstate(over="ignore", invalid="ignore"):
         norm_sq = complex(np.trace(np.linalg.matrix_power(transfer, n))).real
     if not 0.0 < norm_sq < math.inf:

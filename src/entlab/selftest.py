@@ -135,7 +135,7 @@ def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
         raise ValueError("dimension must be at least 2")
     psd = tol["choi_psd"]
     red = measures.reduction_map(d)
-    out = measures.apply_map(red, states.max_entangled(d).projector(), "B")
+    out = measures.apply_map(red, states.max_entangled(d).projector())
     detect = float(np.linalg.eigvalsh(out)[0])
     choi_red = float(np.linalg.eigvalsh(measures.choi_matrix(red))[0])
     rng = np.random.default_rng(seed)

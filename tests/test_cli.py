@@ -79,6 +79,17 @@ def test_mps_commands(tmp_path, capsys):
     state = load_mps(save)
     assert state.nsites == 6
 
+    from entlab.selftest import TOLERANCES
+
+    assert run(tmp_path, "mps", "named", "--state", "af-ghz", "--sites", "6") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dense_form_deviation"] <= TOLERANCES["named_state_dense_form"]
+
+    # a capped bond: from_dense returns through truncate
+    assert run(tmp_path, "mps", "roundtrip", "--sites", "8", "--dmax", "2") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fidelity"] < 1 and max(doc["bond_dims"]) <= 2
+
     assert run(tmp_path, "mps", "named", "--state", "mg", "--sites", "6") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["eigen_residual"] <= 1e-8
@@ -154,6 +165,15 @@ def test_kinetic_commands(tmp_path, capsys):
     assert doc["pair_up_max_ground_split"] <= 1e-8
     header = (tmp_path / "kinetic_spectra.csv").read_text().splitlines()[0]
     assert header == "model,N,tau_code,tau_pattern,phi_or_gamma,level_index,eigenvalue"
+
+
+def test_detailed_balance_passes_is_a_json_boolean(tmp_path, capsys):
+    # violation exactly 0 at 5 sites, a nonzero numpy float at 8
+    for sites in ("5", "8"):
+        assert run(tmp_path, "kinetic", "detailed-balance", "--model", "single-flip",
+                   "--sites", sites, "--beta", "0.4") == 0
+        out = capsys.readouterr().out
+        assert '"passes": true' in out and json.loads(out)["passes"] is True
 
 
 def test_tolerance_override_logged(tmp_path, capsys):
@@ -269,6 +289,15 @@ def test_levels_below_one_are_rejected(tmp_path, capsys):
             run(tmp_path, "kinetic", "spectra", "--sites", "6", "--levels", value)
         assert exc.value.code == 2
         assert "--levels" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_workers_below_one_are_rejected(tmp_path, capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "--workers", value, "measures", "bell")
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

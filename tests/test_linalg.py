@@ -225,7 +225,10 @@ def _over_budget_cases():
     rho8 = states.random_density((2,) * 8, np.random.default_rng(0))
     return {
         "lanczos_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 21)),
-        "thermal_state_max_dim": lambda: chains.thermal_state(chains.build_xy(1, 1, 14), 1.0),
+        "full_spectrum_max_dim": lambda: chains.thermal_state(chains.build_xy(1, 1, 14), 1.0),
+        # 2^14 amplitudes pass the MPS budget; the dense symmetrized generator does not
+        "full_spectrum_max_dim (classical-superposition)": lambda: selftest.classical_superposition(
+            14, 0.6, 1.0),
         "classical_ring_max_sites": lambda: chains.classical_gibbs_mutual_info(
             lambda a, b: -a * b, 0.5, 21, 10),
         "generator_max_sites": lambda: kinetic.build_generator(
@@ -249,6 +252,13 @@ def test_one_above_each_limit_raises(name):
 
     with pytest.raises(ResourceLimitError):
         _over_budget_cases()[name]()
+
+
+def test_every_limit_has_an_over_budget_case():
+    from entlab.linalg import BUDGET
+
+    covered = {name.split(" (")[0] for name in _over_budget_cases()}
+    assert covered == set(BUDGET) - {"dense_dim"}
 
 
 def test_cheap_limits_pass_at_their_value():

@@ -192,14 +192,14 @@ def test_apply_map_identity_and_transposition():
     rng = np.random.default_rng(9)
     rho = random_density((2, 3), rng)
     ident = unitary_conjugation_map(np.eye(3))
-    assert np.allclose(apply_map(ident, rho, "B"), rho.matrix, atol=1e-12)
+    assert np.allclose(apply_map(ident, rho), rho.matrix, atol=1e-12)
     t = transposition_map(3)
-    assert np.allclose(apply_map(t, rho, "B"), partial_transpose(rho, "B"), atol=1e-12)
+    assert np.allclose(apply_map(t, rho), partial_transpose(rho, "B"), atol=1e-12)
 
 
 def test_reduction_map_detects_max_entangled():
     for d in range(2, 6):
-        out = apply_map(reduction_map(d), max_entangled(d).projector(), "B")
+        out = apply_map(reduction_map(d), max_entangled(d).projector())
         w = np.linalg.eigvalsh(out)
         assert w[0] == pytest.approx((1 - d) / d, abs=1e-10)
         assert w[0] < 0
