@@ -332,14 +332,21 @@ def free_energy(ham: SpinHamiltonian, rho: DensityMatrix, beta: float) -> float:
     return energy - von_neumann_entropy(rho, base="e") / beta
 
 
+def _check_cut(cut: int, n: int) -> None:
+    """A bipartition of ``n`` sites at ``cut`` leaves both parts nonempty."""
+    if not 1 <= cut < n:
+        raise ValueError(f"cut must satisfy 1 <= cut < sites, got cut {cut} of {n} sites")
+
+
 def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
     """Thermal mutual information against its boundary bounds (all nats).
 
     Returns (I, boundary-energy bound, nearest-neighbor bound) for the
     bipartition A = sites [0, cut).  Raises if any term has empty support.
     """
-    rho = thermal_state(ham, beta)
     n = ham.nsites
+    _check_cut(cut, n)
+    rho = thermal_state(ham, beta)
     rho_a = partial_trace(rho, range(cut))
     rho_b = partial_trace(rho, range(cut, n))
     info = (von_neumann_entropy(rho_a, "e") + von_neumann_entropy(rho_b, "e")
@@ -398,6 +405,7 @@ def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
     where the last entry is |I(A:B) - I(dA:dB)|, which the nearest-neighbor
     Markov property forces to vanish.
     """
+    _check_cut(cut, n)
     check_budget("classical_ring_max_sites", n, "classical enumeration sites")
     d = len(values)
     p, digits = _ring_probabilities(coupling, beta, n, values)

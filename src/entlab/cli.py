@@ -169,6 +169,17 @@ def _int_at_least(floor: int, unit: str):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float; NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
+
+
 def _gamma_grid(text: str) -> str:
     """argparse type for one or more comma-separated finite floats in [0, 1]."""
     try:
@@ -211,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_measures)
 
     p = sub.add_parser("witness", help="witness from a partial transpose")
-    p.add_argument("--p", type=float, default=1.0, help="mixing weight of the target")
+    p.add_argument("--p", type=_finite_float, default=1.0, help="mixing weight of the target")
     p.add_argument("--samples", type=_int_at_least(1, "samples"), default=1000)
     p.set_defaults(fn=cmd_witness)
 
@@ -230,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mps", help="matrix product state engine")
     p.add_argument("action", choices=["roundtrip", "named", "truncate"])
-    p.add_argument("--sites", type=int, default=8)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=8)
     p.add_argument("--dmax", type=int, default=None)
     p.add_argument("--state", default="ghz")
     p.add_argument("--save", default=None, help="write the MPS as JSON")
@@ -238,31 +249,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical-superposition",
                        help="thermal superposition state and its parent kernel")
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--beta", type=float, default=0.6)
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=8)
+    p.add_argument("--beta", type=_finite_float, default=0.6)
+    p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.set_defaults(fn=cmd_classical_superposition)
 
     p = sub.add_parser("arealaw", help="block-entropy scaling of the XY chain")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--sites", type=int, default=128)
+    p.add_argument("--gamma", type=_finite_float, required=True)
+    p.add_argument("--h", type=_finite_float, required=True)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=128)
     p.add_argument("--nmin", type=int, default=8)
     p.add_argument("--nmax", type=int, default=64)
     p.add_argument("--bc", choices=["periodic", "open"], default="periodic")
     p.add_argument("--abscissa", choices=["chord", "log2n"], default="chord")
-    p.add_argument("--expect-slope", type=float, default=None)
-    p.add_argument("--slope-tol", type=float, default=0.03)
+    p.add_argument("--expect-slope", type=_finite_float, default=None)
+    p.add_argument("--slope-tol", type=_finite_float, default=0.03)
     p.set_defaults(fn=cmd_arealaw)
 
     p = sub.add_parser("mutualinfo", help="mutual-information area laws")
     p.add_argument("kind", choices=["quantum", "classical"])
-    p.add_argument("--sites", type=int, default=10)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=10)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
     p.add_argument("--cut", type=int, default=5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
+    p.add_argument("--h", type=_finite_float, default=1.0)
+    p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.set_defaults(fn=cmd_mutualinfo)
 
     pk = sub.add_parser("kinetic", help="kinetic Ising models")
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ksub.add_parser("spectra", help="sector spectra scan")
     p.add_argument("--model", choices=["two-flip", "single-flip"], default="two-flip")
-    p.add_argument("--sites", type=int, default=16)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=16)
     p.add_argument("--tau-pattern", nargs="+", choices=sorted(selftest.TAU_PATTERNS),
                    default=["pair-up"])
     p.add_argument("--phi-grid", type=_int_at_least(2, "points"), default=9,
@@ -278,21 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-grid", type=_gamma_grid, default="0.9,0.99,0.999",
                    help="comma-separated gamma values in [0, 1] (single-flip)")
     p.add_argument("--levels", type=_int_at_least(1, "levels"), default=4)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
     p.set_defaults(fn=cmd_kinetic_spectra)
 
     p = ksub.add_parser("evolve", help="sector-split evolution against the oracle")
-    p.add_argument("--sites", type=int, default=6)
-    p.add_argument("--beta", type=float, default=0.4)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--initial-states", type=int, default=3)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=6)
+    p.add_argument("--beta", type=_finite_float, default=0.4)
+    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--initial-states", type=_int_at_least(1, "initial states"), default=3)
     p.set_defaults(fn=cmd_kinetic_evolve)
 
     p = ksub.add_parser("detailed-balance", help="rate/Boltzmann symmetry check")
     p.add_argument("--model", choices=["two-flip", "single-flip"], default="single-flip")
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--beta", type=float, default=0.4)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=8)
+    p.add_argument("--beta", type=_finite_float, default=0.4)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
     p.set_defaults(fn=cmd_kinetic_detailed_balance)
 
     p = sub.add_parser("selftest", help="run every acceptance criterion")
@@ -350,7 +361,7 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

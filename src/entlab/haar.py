@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .states import PureState
+from .states import PureState, random_pure
 
 LN2 = math.log(2.0)
 
@@ -48,13 +48,10 @@ def nats_to_bits(x: float) -> float:
 def haar_pure(m: int, n: int, seed_or_rng) -> PureState:
     """One Haar-random pure state on C^m (x) C^n.
 
-    Accepts a seed or an existing ``numpy.random.Generator``.
+    Accepts a seed or an existing ``numpy.random.Generator``, which
+    ``default_rng`` returns unchanged.
     """
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator) else seed_or_rng
-    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    g /= np.linalg.norm(g)
-    return PureState((m, n), g.ravel())
+    return random_pure((m, n), np.random.default_rng(seed_or_rng))
 
 
 def _reduced_spectrum(m: int, n: int, rng, count: int = 1) -> np.ndarray:

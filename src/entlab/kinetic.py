@@ -244,30 +244,30 @@ def _rate_table(model: KineticModel) -> tuple[np.ndarray, list[int]]:
     return rates, [_site_mask(n, *range(i, i + width)) for i in range(n)]
 
 
+def _flip_matrix(masks, off, diag) -> scipy.sparse.csr_matrix:
+    """CSR matrix with ``off[i][c]`` at ``(c ^ masks[i], c)`` and ``diag`` on the diagonal.
+
+    The flip structure shared by both master-equation generators: columns
+    are source codes and move i flips the bits of ``masks[i]``.
+    """
+    dim = len(diag)
+    codes = np.arange(dim)
+    rows = [codes ^ mask for mask in masks] + [codes]
+    return scipy.sparse.coo_matrix(
+        (np.concatenate([*off, diag]), (np.concatenate(rows), np.tile(codes, len(rows)))),
+        shape=(dim, dim),
+    ).tocsr()
+
+
 def build_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
     """Master-equation generator; columns are source configurations.
 
     Column sums vanish (probability conservation) and all off-diagonal
     entries are the nonnegative rates.
     """
-    n = model.nsites
-    check_budget("generator_max_sites", n, "generator sites")
-    dim = 2 ** n
+    check_budget("generator_max_sites", model.nsites, "generator sites")
     rates, masks = _rate_table(model)
-    rows, cols, vals = [], [], []
-    codes = np.arange(dim)
-    for i in range(n):
-        rows.append(codes ^ masks[i])
-        cols.append(codes)
-        vals.append(rates[i])
-    rows.append(codes)
-    cols.append(codes)
-    vals.append(-rates.sum(axis=0))
-    gen = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return gen.tocsr()
+    return _flip_matrix(masks, rates, -rates.sum(axis=0))
 
 
 def detailed_balance_violation(gen: scipy.sparse.csr_matrix, energies: np.ndarray,
@@ -492,23 +492,17 @@ def vectorized_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
     Vectorization is row-major: rho -> |rho> with index sigma * 2^N + tilde.
     Each site contributes ``kron(A_i, A_i) - (1/2)[kron(w_i, 1) + kron(1, w_i)]``
     with jump ``A_i = F_i sqrt(w_i(Z))``, the flip F_i acting on one site
-    (single-flip family) or on the pair (i, i+1).
+    (single-flip family) or on the pair (i, i+1): the flip of both halves of
+    the doubled code with value ``sqrt(w_i(sigma) w_i(tilde))``.
     """
-    n = model.nsites
-    dim = 2 ** n
+    dim = 2 ** model.nsites
     rates, masks = _rate_table(model)
-    ident = scipy.sparse.identity(dim, format="csr")
-    out = scipy.sparse.csr_matrix((dim * dim, dim * dim))
-    codes = np.arange(dim)
-    for i in range(n):
-        jump = scipy.sparse.coo_matrix(
-            (np.sqrt(rates[i]), (codes ^ masks[i], codes)), shape=(dim, dim)
-        ).tocsr()
-        wdiag = scipy.sparse.diags(rates[i]).tocsr()
-        out = out + scipy.sparse.kron(jump, jump, format="csr")
-        out = out - 0.5 * (scipy.sparse.kron(wdiag, ident, format="csr")
-                           + scipy.sparse.kron(ident, wdiag, format="csr"))
-    return out.tocsr()
+    diag = np.zeros(dim * dim)
+    for r in rates:
+        diag = diag - 0.5 * (r[:, None] + r[None, :]).ravel()
+    roots = np.sqrt(rates)
+    return _flip_matrix([mask * dim + mask for mask in masks],
+                        [np.outer(root, root).ravel() for root in roots], diag)
 
 
 def conserved_tau_diagonals(n: int) -> list[np.ndarray]:

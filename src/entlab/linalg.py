@@ -257,9 +257,6 @@ def lanczos_lowest(
                 if resid <= tol * scale or spanned:
                     converged = True
                     break
-            if spanned:
-                converged = True
-                break
             if out_of_room:
                 break
             betas.append(beta)

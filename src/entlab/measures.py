@@ -11,9 +11,9 @@ Witnesses and maps
 ------------------
 A :class:`Witness` is a Hermitian block observable that is nonnegative on
 separable states and negative on at least one entangled state.  Linear maps
-on operators are represented either by weighted Kraus pairs
-``Lambda(X) = sum_i eta_i V_i X V_i^dag`` or by their Choi matrix; the Choi
-normalization used throughout is
+on operators are held as their Choi matrix, which represents any linear map
+completely (weighted Kraus pairs ``Lambda(X) = sum_i eta_i V_i X V_i^dag``
+are converted on construction); the Choi normalization used throughout is
 
     choi(Lambda) = (I (x) Lambda)(d * P_plus)  =  sum_ij |i><j| (x) Lambda(|i><j|)
 
@@ -33,7 +33,6 @@ from .states import (
     DensityMatrix,
     PureState,
     binary_entropy,
-    max_entangled,
     partial_transpose,
     partial_transpose_matrix,
     random_separable,
@@ -165,9 +164,12 @@ def witness_from_npt(rho: DensityMatrix, cut: int = 1) -> Witness:
 
 
 def swap_operator(d: int) -> np.ndarray:
-    """The swap V = d * P_plus^T_B on d x d; the witness of the transposition map."""
-    p = max_entangled(d).projector().matrix
-    return partial_transpose_matrix(d * p, d, d, "B")
+    """The swap V = d * P_plus^T_B on d x d; the witness of the transposition map.
+
+    Exact: d * P_plus = |e><e| with e = sum_i |ii> has integer entries.
+    """
+    e = np.eye(d, dtype=complex).ravel()
+    return partial_transpose_matrix(np.outer(e, e), d, d, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -176,60 +178,52 @@ def swap_operator(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumMap:
-    """Hermiticity-preserving linear map on operators.
+    """Hermiticity-preserving linear map on operators, held as its Choi matrix.
 
-    Either ``kraus_pairs`` (a list of ``(eta, V)`` with real weights) or a
-    ``choi`` matrix must be given, together with input/output dimensions.
+    Give exactly one of ``kraus_pairs`` (a list of ``(eta, V)`` with real
+    weights) or a ``choi`` matrix, together with input/output dimensions.
+    Kraus pairs are converted once, ``choi = sum_i eta_i |v_i><v_i|`` with
+    ``v_i = V_i^T`` flattened.  ``choi`` is the symmetrized matrix of the
+    Hermiticity check, read-only.
     """
 
     dim_in: int
     dim_out: int
-    kraus_pairs: tuple | None = None
-    choi: np.ndarray | None = None
+    choi: np.ndarray
 
     def __init__(self, dim_in, dim_out, kraus_pairs=None, choi=None):
         if (kraus_pairs is None) == (choi is None):
             raise ValueError("give exactly one of kraus_pairs or choi")
+        dim_in, dim_out = int(dim_in), int(dim_out)
         if kraus_pairs is not None:
-            kraus_pairs = tuple(
-                (float(eta), np.asarray(v, dtype=complex)) for eta, v in kraus_pairs
-            )
-            for _, v in kraus_pairs:
+            choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
+            for eta, v in kraus_pairs:
+                v = np.asarray(v, dtype=complex)
                 if v.shape != (dim_out, dim_in):
                     raise ValueError("Kraus operator shape must be (dim_out, dim_in)")
-        if choi is not None:
-            choi = np.asarray(choi, dtype=complex)
-            if choi.shape[0] != dim_in * dim_out:
-                raise ValueError("Choi matrix has wrong dimension")
-            check_hermitian(choi)  # Hermiticity-preserving maps only
-        object.__setattr__(self, "dim_in", int(dim_in))
-        object.__setattr__(self, "dim_out", int(dim_out))
-        object.__setattr__(self, "kraus_pairs", kraus_pairs)
+                vec = v.T.ravel()
+                choi += float(eta) * np.outer(vec, vec.conj())
+        choi = np.asarray(choi, dtype=complex)
+        if choi.shape != (dim_in * dim_out, dim_in * dim_out):
+            raise ValueError("Choi matrix has wrong dimension")
+        choi = check_hermitian(choi)  # Hermiticity-preserving maps only
+        choi.flags.writeable = False
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "choi", choi)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Lambda(X) = tr_in[ choi (X^T (x) 1_out) ]."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim_in, self.dim_in):
             raise ValueError("input operator has wrong dimension")
-        if self.kraus_pairs is not None:
-            out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-            for eta, v in self.kraus_pairs:
-                out += eta * (v @ x @ v.conj().T)
-            return out
-        # choi route: Lambda(X) = tr_in[ choi (X^T (x) 1_out) ]
         c = self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
         return np.einsum("iajb,ij->ab", c, x)
 
 
 def transposition_map(d: int) -> QuantumMap:
-    """The transposition map X -> X^T as a Choi-represented map."""
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = e.T
-    return QuantumMap(d, d, choi=choi)
+    """The transposition map X -> X^T; its Choi matrix is the swap."""
+    return QuantumMap(d, d, choi=swap_operator(d))
 
 
 def unitary_conjugation_map(u: np.ndarray) -> QuantumMap:
@@ -239,10 +233,12 @@ def unitary_conjugation_map(u: np.ndarray) -> QuantumMap:
 
 
 def reduction_map(d: int) -> QuantumMap:
-    """X -> tr(X) 1_d - X; positive but not completely positive."""
-    pairs = [(1.0, _basis_unit(d, k, l)) for k in range(d) for l in range(d)]
-    pairs.append((-1.0, np.eye(d, dtype=complex)))
-    return QuantumMap(d, d, kraus_pairs=pairs)
+    """X -> tr(X) 1_d - X; positive but not completely positive.
+
+    Choi matrix 1 - d P_plus = 1 - |e><e| with e = sum_i |ii>, exact in integers.
+    """
+    e = np.eye(d).ravel()
+    return QuantumMap(d, d, choi=np.eye(d * d) - np.outer(e, e))
 
 
 def extended_reduction_map(u: np.ndarray, d: int) -> QuantumMap:
@@ -259,17 +255,9 @@ def extended_reduction_map(u: np.ndarray, d: int) -> QuantumMap:
     w = np.linalg.eigvalsh(u.conj().T @ u)
     if w[-1] > 1.0 + 1e-10:
         raise ValueError("U must satisfy U^dag U <= 1")
-    red = choi_matrix(reduction_map(d))
     # Choi of X -> U X^T U^dag equals (1 (x) U) Choi(T) (1 (x) U)^dag
-    t_choi = choi_matrix(transposition_map(d))
     lift = kron(np.eye(d), u)
-    return QuantumMap(d, d, choi=red - lift @ t_choi @ lift.conj().T)
-
-
-def _basis_unit(d: int, k: int, l: int) -> np.ndarray:
-    e = np.zeros((d, d), dtype=complex)
-    e[k, l] = 1.0
-    return e
+    return QuantumMap(d, d, choi=reduction_map(d).choi - lift @ swap_operator(d) @ lift.conj().T)
 
 
 def reduction_map_kraus_decomposition(d: int) -> list[np.ndarray]:
@@ -278,8 +266,9 @@ def reduction_map_kraus_decomposition(d: int) -> list[np.ndarray]:
     The reduction map factors as a completely positive map composed with
     transposition, which is what makes it decomposable.
     """
+    basis = np.eye(d, dtype=complex)
     return [
-        _basis_unit(d, k, l) - _basis_unit(d, l, k)
+        np.outer(basis[k], basis[l]) - np.outer(basis[l], basis[k])
         for k in range(d)
         for l in range(k + 1, d)
     ]
@@ -291,31 +280,9 @@ def apply_map(qmap: QuantumMap, rho: DensityMatrix, cut: int = 1) -> np.ndarray:
     db = rho.dim // da
     if qmap.dim_in != db:
         raise ValueError("map input dimension does not match subsystem B")
-    t = rho.matrix.reshape(da, db, da, db)
-    out = np.zeros((da, qmap.dim_out, da, qmap.dim_out), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            out[i, :, j, :] = qmap(t[i, :, j, :])
+    c = qmap.choi.reshape(db, qmap.dim_out, db, qmap.dim_out)
+    out = np.einsum("kalb,ikjl->iajb", c, rho.matrix.reshape(da, db, da, db))
     return out.reshape(da * qmap.dim_out, da * qmap.dim_out)
-
-
-def choi_matrix(qmap: QuantumMap) -> np.ndarray:
-    """Choi matrix (I (x) Lambda)(d * P_plus) = sum_ij |i><j| (x) Lambda(|i><j|)."""
-    if qmap.choi is not None:
-        return qmap.choi.copy()
-    d = qmap.dim_in
-    out = np.zeros((d * qmap.dim_out, d * qmap.dim_out), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            blk = qmap(_basis_unit(d, i, j))
-            out[i * qmap.dim_out:(i + 1) * qmap.dim_out,
-                j * qmap.dim_out:(j + 1) * qmap.dim_out] = blk
-    return out
-
-
-def map_from_choi(choi: np.ndarray, dim_in: int, dim_out: int) -> QuantumMap:
-    """Inverse of :func:`choi_matrix` under the trace-d normalization."""
-    return QuantumMap(dim_in, dim_out, choi=choi)
 
 
 def map_from_witness(w: Witness) -> QuantumMap:
@@ -329,9 +296,8 @@ def map_from_witness(w: Witness) -> QuantumMap:
 
 def is_completely_positive(qmap: QuantumMap, tol: float = 1e-9) -> bool:
     """Choi-PSD test; the threshold scales with the Choi trace."""
-    c = choi_matrix(qmap)
-    w = np.linalg.eigvalsh(check_hermitian(c))
-    scale = max(abs(np.trace(c).real), 1.0)
+    w = np.linalg.eigvalsh(qmap.choi)
+    scale = max(abs(np.trace(qmap.choi).real), 1.0)
     return bool(w[0] >= -tol * scale)
 
 
@@ -343,8 +309,7 @@ def kraus_operators(qmap: QuantumMap, tol: float = 1e-12) -> list[np.ndarray]:
     """
     if not is_completely_positive(qmap):
         raise ValueError("map is not completely positive")
-    c = choi_matrix(qmap)
-    w, v = hermitian_eig(c)
+    w, v = np.linalg.eigh(qmap.choi)
     ops = []
     for val, vec in zip(w, v.T):
         if val > tol:
@@ -353,12 +318,11 @@ def kraus_operators(qmap: QuantumMap, tol: float = 1e-12) -> list[np.ndarray]:
 
 
 def dual_map(qmap: QuantumMap) -> QuantumMap:
-    """Hilbert-Schmidt dual: tr[Lambda(X)^dag Y] = tr[X^dag dual(Y)]."""
-    if qmap.kraus_pairs is not None:
-        pairs = [(eta, v.conj().T) for eta, v in qmap.kraus_pairs]
-        return QuantumMap(qmap.dim_out, qmap.dim_in, kraus_pairs=pairs)
+    """Hilbert-Schmidt dual: tr[Lambda(X)^dag Y] = tr[X^dag dual(Y)].
+
+    Its Choi matrix swaps the input and output factors and conjugates.
+    """
     c = qmap.choi.reshape(qmap.dim_in, qmap.dim_out, qmap.dim_in, qmap.dim_out)
     cd = c.transpose(1, 0, 3, 2).conj()
-    # dual Choi: swap in/out factors and conjugate
     return QuantumMap(qmap.dim_out, qmap.dim_in,
                       choi=cd.reshape(qmap.dim_in * qmap.dim_out, -1))

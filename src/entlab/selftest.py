@@ -137,13 +137,11 @@ def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
     red = measures.reduction_map(d)
     out = measures.apply_map(red, states.max_entangled(d).projector())
     detect = float(np.linalg.eigvalsh(out)[0])
-    choi_red = float(np.linalg.eigvalsh(measures.choi_matrix(red))[0])
+    choi_red = float(np.linalg.eigvalsh(red.choi)[0])
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     u, _ = np.linalg.qr(g)
-    choi_uni = float(np.linalg.eigvalsh(
-        measures.choi_matrix(measures.unitary_conjugation_map(u))
-    )[0])
+    choi_uni = float(np.linalg.eigvalsh(measures.unitary_conjugation_map(u).choi)[0])
     values = {
         "d": d,
         "reduction_detection_min_eig": detect,
@@ -188,9 +186,15 @@ def lubkin(m: int, n: int, samples: int, seed, tol=TOLERANCES) -> Outcome:
                     "exact": exact, "mc_mean": mean, "mc_stderr": err, "z": z}, failed)
 
 
+def _random_qubits(sites: int, seed) -> states.PureState:
+    """A random state of ``sites`` qubits, drawn only within the dense MPS budget."""
+    check_budget("mps_dense_max_amplitudes", 2 ** sites, f"2^{sites} amplitudes")
+    return states.random_pure((2,) * sites, np.random.default_rng(seed))
+
+
 def mps_roundtrip(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
     """Random state to MPS and back; the fidelity counts where ``dmax`` is exact."""
-    psi = states.random_pure((2,) * sites, np.random.default_rng(seed))
+    psi = _random_qubits(sites, seed)
     state, _ = mps.from_dense(psi, dmax=dmax)
     back, _ = state.to_dense()
     fidelity = abs(np.vdot(psi.amplitudes, back.amplitudes))
@@ -208,7 +212,7 @@ def mps_truncate(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
     tuple) within its discarded-weight bound; values and CSV of the last."""
     if dmax is None:
         raise ValueError("truncation needs a bond dimension (--dmax)")
-    psi = states.random_pure((2,) * sites, np.random.default_rng(seed))
+    psi = _random_qubits(sites, seed)
     full, _ = mps.from_dense(psi)
     defect = max(mps.canonical_defects(full).values())
     failed = _failed((defect <= tol["mps_canonical"], "canonical-form", f"defect {defect:.1e}"))

@@ -519,3 +519,48 @@ def test_negative_symmetrized_spectrum_is_a_numerical_failure(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("numerical failure") and "negative eigenvalue" in err
     assert not (tmp_path / "classical_superposition_manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind,sites,cut", [
+    ("quantum", 4, 0), ("quantum", 4, 4),
+    ("classical", 4, 0), ("classical", 4, 4), ("classical", 1, 1),
+])
+def test_mutualinfo_cut_outside_the_chain_is_rejected(tmp_path, capsys, kind, sites, cut):
+    assert run(tmp_path, "mutualinfo", kind, "--sites", str(sites), "--cut", str(cut)) == 2
+    assert "1 <= cut < sites" in capsys.readouterr().err
+    assert not (tmp_path / "mutualinfo_manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("classical-superposition", "--sites", "0"), "--sites"),
+    (("mps", "roundtrip", "--sites", "0"), "--sites"),
+    (("kinetic", "spectra", "--sites", "0"), "--sites"),
+    (("kinetic", "evolve", "--sites", "0"), "--sites"),
+    (("kinetic", "evolve", "--initial-states", "0"), "--initial-states"),
+    (("kinetic", "detailed-balance", "--beta", "inf"), "--beta"),
+    (("mutualinfo", "classical", "--sites", "4", "--cut", "2", "--beta", "nan"), "--beta"),
+    (("mutualinfo", "classical", "--sites", "4", "--cut", "2", "--beta", "inf"), "--beta"),
+    (("arealaw", "--gamma", "1", "--h", "1", "--expect-slope", "nan"), "--expect-slope"),
+    (("arealaw", "--gamma=-inf", "--h", "1"), "--gamma"),
+    (("witness", "--p", "nan"), "--p"),
+])
+def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--out", str(taken), "measures", "bell"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and err.count("\n") == 1
+    missing = tmp_path / "missing" / "x.json"
+    assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "6",
+               "--save", str(missing)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and err.count("\n") == 1
+    assert not missing.parent.exists()

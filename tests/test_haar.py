@@ -28,6 +28,20 @@ def test_haar_pure_deterministic_and_normalized():
     assert np.linalg.norm(a.amplitudes) == pytest.approx(1.0)
 
 
+def test_haar_pure_equals_the_matrix_draw():
+    # reference: one (m, n) real and one (m, n) imaginary draw, normalized in place
+    for m, n in ((1, 1), (2, 2), (2, 3), (3, 5), (4, 4)):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            g /= np.linalg.norm(g)
+            assert np.array_equal(haar_pure(m, n, seed).amplitudes, g.ravel())
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    g = ref.standard_normal((2, 3)) + 1j * ref.standard_normal((2, 3))
+    assert np.array_equal(haar_pure(2, 3, rng).amplitudes, (g / np.linalg.norm(g)).ravel())
+    assert rng.standard_normal() == ref.standard_normal()
+
+
 def test_single_dim_state_has_zero_entropy():
     psi = haar_pure(1, 1, 0)
     assert abs(psi.amplitudes[0]) == pytest.approx(1.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from entlab import kinetic, selftest
@@ -351,6 +352,50 @@ def test_conserved_quantities_commute():
     for diag in conserved_tau_diagonals(5):
         comm = np.abs(coo.data * (diag[coo.col] - diag[coo.row]))
         assert comm.max() <= 1e-10
+
+
+def kron_vectorized_generator(model):
+    """Reference: the vectorized generator summed site by site with scipy.sparse.kron."""
+    dim = 2 ** model.nsites
+    rates, masks = kinetic._rate_table(model)
+    ident = scipy.sparse.identity(dim, format="csr")
+    out = scipy.sparse.csr_matrix((dim * dim, dim * dim))
+    codes = np.arange(dim)
+    for rate, mask in zip(rates, masks):
+        jump = scipy.sparse.coo_matrix((np.sqrt(rate), (codes ^ mask, codes)),
+                                       shape=(dim, dim)).tocsr()
+        wdiag = scipy.sparse.diags(rate).tocsr()
+        out = out + scipy.sparse.kron(jump, jump, format="csr")
+        out = out - 0.5 * (scipy.sparse.kron(wdiag, ident, format="csr")
+                           + scipy.sparse.kron(ident, wdiag, format="csr"))
+    return out.tocsr()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_vectorized_generator_equals_the_kron_build(n):
+    for model in (KineticModel.single_flip(n, gamma=0.7, delta=0.3),
+                  KineticModel.two_flip(n, beta=0.4)):
+        got, want = vectorized_generator(model), kron_vectorized_generator(model)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (model.flip, attr)
+
+
+def test_build_generator_matches_the_rates_entrywise():
+    for model in (KineticModel.single_flip(5, gamma=0.7, delta=0.3),
+                  KineticModel.two_flip(5, beta=0.4)):
+        n, gen = model.nsites, build_generator(model).toarray()
+        spins = config_spins(n)
+        want = np.zeros((2 ** n, 2 ** n))
+        for code in range(2 ** n):
+            for i in range(n):
+                if model.flip == "single":
+                    rate, flipped = glauber_rate(spins[code], i, model), [i]
+                else:
+                    rate, flipped = two_flip_rate(spins[code], i, model), [i, (i + 1) % n]
+                target = code ^ sum(1 << (n - 1 - j) for j in flipped)
+                want[target, code] += rate
+                want[code, code] -= rate
+        assert np.abs(gen - want).max() <= 1e-14
 
 
 def _transformed_sector_blocks(model):

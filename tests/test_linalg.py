@@ -243,15 +243,25 @@ def _over_budget_cases():
             "two-flip", 18, [kinetic.TauSector.adjacent_pair_up(18)], [0.1]),
         "mps_dense_max_amplitudes": lambda: mps.ghz_mps(17).to_dense(),
         "mps_dense_max_amplitudes (spin 1)": lambda: mps.aklt_mps(11).to_dense(),
+        # the limit is checked before the random state is drawn
+        "mps_dense_max_amplitudes (mps roundtrip)": lambda: selftest.mps_roundtrip(17, None, 0),
+        "mps_dense_max_amplitudes (mps truncate)": lambda: selftest.mps_truncate(17, 2, 0),
     }
 
 
 @pytest.mark.parametrize("name", list(_over_budget_cases()))
-def test_one_above_each_limit_raises(name):
+def test_one_above_each_limit_raises(name, monkeypatch):
+    from entlab import states
     from entlab.linalg import ResourceLimitError
 
+    cases = _over_budget_cases()
+
+    def no_draw(*args):
+        raise AssertionError("a random state was drawn before the budget check")
+
+    monkeypatch.setattr(states, "random_pure", no_draw)
     with pytest.raises(ResourceLimitError):
-        _over_budget_cases()[name]()
+        cases[name]()
 
 
 def test_every_limit_has_an_over_budget_case():

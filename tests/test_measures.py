@@ -7,7 +7,6 @@ from entlab.measures import (
     Witness,
     apply_map,
     binary_entropy,
-    choi_matrix,
     concurrence_2q,
     concurrence_pure,
     dual_map,
@@ -16,7 +15,6 @@ from entlab.measures import (
     is_completely_positive,
     kraus_operators,
     log_negativity,
-    map_from_choi,
     map_from_witness,
     negativity,
     reduction_map,
@@ -35,6 +33,7 @@ from entlab.states import (
     max_entangled,
     partial_trace_pure,
     partial_transpose,
+    partial_transpose_matrix,
     random_density,
     random_pure,
     random_separable,
@@ -249,19 +248,86 @@ def test_extended_reduction_map():
 def test_choi_normalization_and_roundtrip():
     d = 3
     ident = unitary_conjugation_map(np.eye(d))
-    c = choi_matrix(ident)
-    assert np.allclose(c, d * max_entangled(d).projector().matrix, atol=1e-12)
-    assert np.trace(c).real == pytest.approx(d)
+    assert np.allclose(ident.choi, d * max_entangled(d).projector().matrix, atol=1e-12)
+    assert np.trace(ident.choi).real == pytest.approx(d)
 
     rng = np.random.default_rng(13)
     u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    for qmap in (reduction_map(d), unitary_conjugation_map(u), transposition_map(d)):
-        rebuilt = map_from_choi(choi_matrix(qmap), d, d)
+    cases = ((unitary_conjugation_map(u), lambda e: u @ e @ u.conj().T),
+             (reduction_map(d), lambda e: np.trace(e) * np.eye(d) - e),
+             (transposition_map(d), lambda e: e.T))
+    for qmap, action in cases:
+        rebuilt = QuantumMap(d, d, choi=qmap.choi)
         for i in range(d):
             for j in range(d):
                 e = np.zeros((d, d), dtype=complex)
                 e[i, j] = 1.0
-                assert np.abs(rebuilt(e) - qmap(e)).max() <= 1e-10
+                assert np.abs(qmap(e) - action(e)).max() <= 1e-12
+                assert np.array_equal(rebuilt(e), qmap(e))
+
+
+def blockwise_choi(dim_in, action):
+    """Reference Choi matrix sum_ij |i><j| (x) action(|i><j|), block by block."""
+    blocks = [[action(np.outer(np.eye(dim_in)[i], np.eye(dim_in)[j])) for j in range(dim_in)]
+              for i in range(dim_in)]
+    return np.block(blocks)
+
+
+def test_kraus_pairs_become_the_choi_of_their_sum():
+    rng = np.random.default_rng(30)
+    d_in, d_out = 3, 2
+    pairs = [(eta, rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in)))
+             for eta in (0.5, -1.25, 2.0)]
+    qmap = QuantumMap(d_in, d_out, kraus_pairs=pairs)
+    kraus_sum = lambda x: sum(eta * v @ x @ v.conj().T for eta, v in pairs)
+    assert np.abs(qmap.choi - blockwise_choi(d_in, kraus_sum)).max() <= 1e-12
+    dual = dual_map(qmap)
+    adjoint_sum = lambda y: sum(eta * v.conj().T @ y @ v for eta, v in pairs)
+    for _ in range(5):
+        x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        y = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
+        assert np.abs(qmap(x) - kraus_sum(x)).max() <= 1e-12
+        assert np.abs(dual(y) - adjoint_sum(y)).max() <= 1e-12
+    with pytest.raises(ValueError):
+        QuantumMap(d_in, d_out, kraus_pairs=[(1.0, np.eye(d_in))])
+    with pytest.raises(ValueError):
+        QuantumMap(d_in, d_out)
+
+
+def test_closed_form_chois_equal_their_constructions():
+    for d in (2, 3, 4, 5):
+        units = [(1.0, np.outer(np.eye(d)[k], np.eye(d)[l])) for k in range(d) for l in range(d)]
+        kraus = QuantumMap(d, d, kraus_pairs=units + [(-1.0, np.eye(d))])
+        assert np.array_equal(reduction_map(d).choi, kraus.choi)
+        assert np.array_equal(transposition_map(d).choi, blockwise_choi(d, lambda e: e.T))
+        swap = swap_operator(d)
+        assert np.array_equal(swap, blockwise_choi(d, lambda e: e.T))
+        via_pt = partial_transpose_matrix(d * max_entangled(d).projector().matrix, d, d, "B")
+        assert np.abs(swap - via_pt).max() <= 1e-15
+
+
+def test_choi_is_read_only_and_hermitian():
+    qmap = reduction_map(3)
+    with pytest.raises(ValueError):
+        qmap.choi[0, 0] = 2.0
+    assert np.array_equal(qmap.choi, qmap.choi.conj().T)
+
+
+def test_apply_map_equals_the_blockwise_loop():
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    for da, db in ((1, 2), (2, 2), (3, 2), (2, 3), (4, 3), (2, 5)):
+        rho = random_density((da, db), rng)
+        t = rho.matrix.reshape(da, db, da, db)
+        maps = [reduction_map(db), transposition_map(db)]
+        if db == 3:
+            maps.append(unitary_conjugation_map(u))
+        for qmap in maps:
+            loop = np.zeros((da, db, da, db), dtype=complex)
+            for i in range(da):
+                for j in range(da):
+                    loop[i, :, j, :] = qmap(t[i, :, j, :])
+            assert np.array_equal(apply_map(qmap, rho), loop.reshape(da * db, da * db))
 
 
 def test_choi_psd_iff_cp():
@@ -271,8 +337,8 @@ def test_choi_psd_iff_cp():
     assert is_completely_positive(unitary_conjugation_map(u))
     assert not is_completely_positive(transposition_map(d))
     assert not is_completely_positive(reduction_map(d))
-    assert np.linalg.eigvalsh(choi_matrix(transposition_map(d)))[0] < -1e-3
-    assert np.linalg.eigvalsh(choi_matrix(reduction_map(d)))[0] < -1e-3
+    assert np.linalg.eigvalsh(transposition_map(d).choi)[0] < -1e-3
+    assert np.linalg.eigvalsh(reduction_map(d).choi)[0] < -1e-3
 
 
 def test_kraus_extraction():
@@ -306,8 +372,6 @@ def test_map_from_witness_consistency():
 
 def test_decomposable_witness_blind_to_ppt():
     rng = np.random.default_rng(17)
-    from entlab.states import partial_transpose_matrix
-
     witnesses = []
     for _ in range(4):
         p = random_psd(4, rng)
