@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -221,7 +221,8 @@ def build_mg(n: int, bc: str = "periodic") -> SpinHamiltonian:
 
 
 def build_cluster(sign: int, n: int, bc: str = "periodic") -> SpinHamiltonian:
-    """Cluster Hamiltonian sign * sum_i Z_{i-1} X_i Z_{i+1}."""
+    """Cluster Hamiltonian sign * sum_i Z_{i-1} X_i Z_{i+1}.
+    Public API that no command calls."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if n < 3:
@@ -326,13 +327,7 @@ def thermal_state(ham: SpinHamiltonian, beta: float) -> DensityMatrix:
     return DensityMatrix((ham.local_dim,) * ham.nsites, rho)
 
 
-def free_energy(ham: SpinHamiltonian, rho: DensityMatrix, beta: float) -> float:
-    """F = tr(H rho) - S(rho)/beta, entropy in nats."""
-    energy = float(np.trace(ham.dense() @ rho.matrix).real)
-    return energy - von_neumann_entropy(rho, base="e") / beta
-
-
-def _check_cut(cut: int, n: int) -> None:
+def check_cut(cut: int, n: int) -> None:
     """A bipartition of ``n`` sites at ``cut`` leaves both parts nonempty."""
     if not 1 <= cut < n:
         raise ValueError(f"cut must satisfy 1 <= cut < sites, got cut {cut} of {n} sites")
@@ -345,7 +340,7 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
     bipartition A = sites [0, cut).  Raises if any term has empty support.
     """
     n = ham.nsites
-    _check_cut(cut, n)
+    check_cut(cut, n)
     rho = thermal_state(ham, beta)
     rho_a = partial_trace(rho, range(cut))
     rho_b = partial_trace(rho, range(cut, n))
@@ -405,7 +400,7 @@ def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
     where the last entry is |I(A:B) - I(dA:dB)|, which the nearest-neighbor
     Markov property forces to vanish.
     """
-    _check_cut(cut, n)
+    check_cut(cut, n)
     check_budget("classical_ring_max_sites", n, "classical enumeration sites")
     d = len(values)
     p, digits = _ring_probabilities(coupling, beta, n, values)

@@ -335,6 +335,11 @@ def tolerance_table(entries) -> MappingProxyType:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "kinetic_command", None) in ("spectra", "evolve"):
+        model = getattr(args, "model", "two-flip")  # evolve runs the two-flip model
+        if args.sites < selftest.MIN_SITES[model]:
+            parser.error(f"argument --sites: the {model} model needs at least "
+                         f"{selftest.MIN_SITES[model]} sites, got {args.sites}")
     outdir = Path(args.out or os.environ.get("ENTLAB_OUTDIR", "."))
     command = args.command
     if command == "kinetic":

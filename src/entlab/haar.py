@@ -49,7 +49,7 @@ def haar_pure(m: int, n: int, seed_or_rng) -> PureState:
     """One Haar-random pure state on C^m (x) C^n.
 
     Accepts a seed or an existing ``numpy.random.Generator``, which
-    ``default_rng`` returns unchanged.
+    ``default_rng`` returns unchanged.  Public API that no command calls.
     """
     return random_pure((m, n), np.random.default_rng(seed_or_rng))
 
@@ -161,7 +161,8 @@ def sample_statistics(m: int, n: int, samples: int, rng) -> tuple[np.ndarray, np
 
 
 def log_density_constant(m: int, n: int) -> float:
-    """log C_mn with C_mn = Gamma(mn) / prod_{i=0}^{m-1} Gamma(n-i) Gamma(m-i+1)."""
+    """log C_mn with C_mn = Gamma(mn) / prod_{i=0}^{m-1} Gamma(n-i) Gamma(m-i+1).
+    Public API that no command calls."""
     out = math.lgamma(m * n)
     for i in range(m):
         out -= math.lgamma(n - i) + math.lgamma(m - i + 1)
@@ -174,7 +175,7 @@ def spectral_density(m: int, n: int, lambdas) -> float:
     Evaluates C_mn * prod_i l_i^(n-m) * prod_{i<j} (l_i - l_j)^2 in log space
     (the Gamma(mn) prefactor overflows beyond mn ~ 170 otherwise).  The delta
     function enforcing sum(l) = 1 is the caller's parametrization; coincident
-    eigenvalues give exactly zero.
+    eigenvalues give exactly zero.  Public API that no command calls.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.size != m:

@@ -95,13 +95,6 @@ class KineticModel:
         """Temperature angle in [0, pi/4]; gamma = sin(2 phi)."""
         return 0.5 * math.asin(min(self.gamma, 1.0))
 
-    @property
-    def on_special_dynamics_line(self) -> bool:
-        """True on the delta = gamma / (2 - gamma) line of the single-flip family."""
-        return self.flip == "single" and abs(
-            self.delta - self.gamma / (2.0 - self.gamma)
-        ) <= 1e-12
-
     @staticmethod
     def single_flip(n: int, gamma: float | None = None, beta: float | None = None,
                     delta: float = 0.0, rate_scale: float = 1.0,
@@ -339,13 +332,6 @@ def symmetrized_eigh(model: KineticModel) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def gibbs_sqrt_vector(model: KineticModel) -> np.ndarray:
-    """Normalized kernel vector e^{-beta E(s)/2} of the symmetrized generator."""
-    energies = ising_energies(model.nsites, model.coupling)
-    v = np.exp(-0.5 * model.beta * (energies - energies.min()))
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # sector Hamiltonians
 # ---------------------------------------------------------------------------
@@ -505,16 +491,6 @@ def vectorized_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
                         [np.outer(root, root).ravel() for root in roots], diag)
 
 
-def conserved_tau_diagonals(n: int) -> list[np.ndarray]:
-    """Diagonals of Z_i Z_{i+1} Ztilde_i Ztilde_{i+1} on the doubled chain."""
-    s = config_spins(n)
-    out = []
-    for i in range(n):
-        zz = s[:, i] * s[:, (i + 1) % n]
-        out.append(np.kron(zz, zz).astype(float))
-    return out
-
-
 def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
                   generator: scipy.sparse.csr_matrix | None = None) -> DensityMatrix:
     """Oracle evolution: integrate the full vectorized generator.
@@ -610,8 +586,7 @@ def classical_evolve(p0: np.ndarray, model: KineticModel, t: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
-                        delta: float = 0.0, rate_scale: float = 1.0,
-                        workers: int = 1, seed: int = 0) -> list[dict]:
+                        delta: float = 0.0, workers: int = 1, seed: int = 0) -> list[dict]:
     """Lowest-k levels of sector Hamiltonians over a parameter grid.
 
     ``kind`` selects the family: "two-flip" scans the temperature angle phi,
@@ -628,10 +603,9 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
     def solve(task):
         tau, value = task
         if kind == "two-flip":
-            ham = build_h_tau_two_flip(tau, value, n, rate_scale)
+            ham = build_h_tau_two_flip(tau, value, n)
         else:
-            model = KineticModel.single_flip(n, gamma=value, delta=delta,
-                                             rate_scale=rate_scale)
+            model = KineticModel.single_flip(n, gamma=value, delta=delta)
             ham = build_h_tau_single_flip(tau, model)
         w = lowest_levels(ham.operator(), k=k, seed=seed)
         return [

@@ -4,9 +4,9 @@ Everything downstream (states, measures, spin chains, kinetic models) is built
 on plain numpy arrays for dense operators and state vectors, and scipy sparse
 matrices for large Hamiltonians.  This module collects the small set of
 numerical kernels they all share: Kronecker products, SVD, Hermitian
-eigensolves with a symmetrization guard, trace norms, matrix functions, and a
-deflated Lanczos solver with full re-orthogonalization for the lowest part of
-large sparse spectra.
+eigensolves with a symmetrization guard, trace norms, and a deflated Lanczos
+solver with full re-orthogonalization for the lowest part of large sparse
+spectra.
 
 Conventions
 -----------
@@ -145,23 +145,6 @@ def trace_norm(a: np.ndarray) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError("trace norm expects a square matrix")
     return float(svd(a)[1].sum())
-
-
-def matrix_function(a: np.ndarray, f, tol: float = TOL_HERM) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its eigenbasis."""
-    w, v = hermitian_eig(a, tol)
-    fw = np.asarray([f(x) for x in w], dtype=complex)
-    out = (v * fw) @ v.conj().T
-    if np.abs(out.imag).max() < 1e-14 * max(1.0, np.abs(out.real).max()):
-        return out.real if np.isrealobj(a) else out
-    return out
-
-
-def matrix_sqrt_psd(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Principal square root of a PSD matrix, clamping roundoff negatives to 0."""
-    w, v = hermitian_eig(a, tol)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def lanczos_lowest(

@@ -241,39 +241,6 @@ def reduction_map(d: int) -> QuantumMap:
     return QuantumMap(d, d, choi=np.eye(d * d) - np.outer(e, e))
 
 
-def extended_reduction_map(u: np.ndarray, d: int) -> QuantumMap:
-    """X -> tr(X) 1_d - X - U X^T U^dag with U antisymmetric, U^dag U <= 1.
-
-    An indecomposable positive map; unlike the plain reduction map it can
-    detect PPT entanglement.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError("U has wrong shape")
-    if np.abs(u + u.T).max() > 1e-10:
-        raise ValueError("U must satisfy U^T = -U")
-    w = np.linalg.eigvalsh(u.conj().T @ u)
-    if w[-1] > 1.0 + 1e-10:
-        raise ValueError("U must satisfy U^dag U <= 1")
-    # Choi of X -> U X^T U^dag equals (1 (x) U) Choi(T) (1 (x) U)^dag
-    lift = kron(np.eye(d), u)
-    return QuantumMap(d, d, choi=reduction_map(d).choi - lift @ swap_operator(d) @ lift.conj().T)
-
-
-def reduction_map_kraus_decomposition(d: int) -> list[np.ndarray]:
-    """Kraus operators V_kl = |k><l| - |l><k| of the CP part of Lambda_r o T.
-
-    The reduction map factors as a completely positive map composed with
-    transposition, which is what makes it decomposable.
-    """
-    basis = np.eye(d, dtype=complex)
-    return [
-        np.outer(basis[k], basis[l]) - np.outer(basis[l], basis[k])
-        for k in range(d)
-        for l in range(k + 1, d)
-    ]
-
-
 def apply_map(qmap: QuantumMap, rho: DensityMatrix, cut: int = 1) -> np.ndarray:
     """(I (x) Lambda)(rho), with Lambda acting on B, the subsystems from ``cut`` on."""
     da = int(np.prod(rho.dims[:cut]))
@@ -283,15 +250,6 @@ def apply_map(qmap: QuantumMap, rho: DensityMatrix, cut: int = 1) -> np.ndarray:
     c = qmap.choi.reshape(db, qmap.dim_out, db, qmap.dim_out)
     out = np.einsum("kalb,ikjl->iajb", c, rho.matrix.reshape(da, db, da, db))
     return out.reshape(da * qmap.dim_out, da * qmap.dim_out)
-
-
-def map_from_witness(w: Witness) -> QuantumMap:
-    """Map Lambda_W(X) = tr_in[W (X^T (x) 1)] associated with a witness.
-
-    Under the Choi normalization used here this treats the witness operator
-    itself as a Choi matrix, so W >= 0 iff the map is completely positive.
-    """
-    return QuantumMap(w.dims[0], w.dims[1], choi=w.operator)
 
 
 def is_completely_positive(qmap: QuantumMap, tol: float = 1e-9) -> bool:
@@ -316,13 +274,3 @@ def kraus_operators(qmap: QuantumMap, tol: float = 1e-12) -> list[np.ndarray]:
             ops.append(np.sqrt(val) * vec.reshape(qmap.dim_in, qmap.dim_out).T)
     return ops
 
-
-def dual_map(qmap: QuantumMap) -> QuantumMap:
-    """Hilbert-Schmidt dual: tr[Lambda(X)^dag Y] = tr[X^dag dual(Y)].
-
-    Its Choi matrix swaps the input and output factors and conjugates.
-    """
-    c = qmap.choi.reshape(qmap.dim_in, qmap.dim_out, qmap.dim_in, qmap.dim_out)
-    cd = c.transpose(1, 0, 3, 2).conj()
-    return QuantumMap(qmap.dim_out, qmap.dim_in,
-                      choi=cd.reshape(qmap.dim_in * qmap.dim_out, -1))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, NumericalError, check_budget, svd
-from .states import SCHMIDT_CUTOFF, PureState, entropy_from_probabilities
+from .states import SCHMIDT_CUTOFF, PureState
 
 # sign of <Z X Z> on the cluster-state matrices below, fixed by measurement
 CLUSTER_STABILIZER_SIGN = -1
@@ -277,13 +277,6 @@ def renyi_truncation_bound(s_alpha: float, alpha: float, dmax: int) -> float:
     return ((1.0 - alpha) / alpha) * (s_alpha - math.log(dmax / (1.0 - alpha)))
 
 
-def block_entropy(mps: MatrixProductState, cut: int, base=2) -> float:
-    """Entanglement entropy of sites [0, cut) from the canonical Schmidt data."""
-    if not mps.canonical or mps.lambdas is None:
-        raise ValueError("block_entropy requires a canonical state")
-    return entropy_from_probabilities(mps.lambdas[cut - 1], base)
-
-
 # ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------
@@ -306,24 +299,6 @@ def _contract(steps, boundary: str) -> complex:
     of an open chain's trivial edge bonds, the trace of a periodic one."""
     prod = functools.reduce(np.matmul, steps)
     return prod[0, 0] if boundary == "open" else np.trace(prod)
-
-
-def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
-    """<a|b> including both scales.
-
-    Raises :class:`~entlab.linalg.NumericalError` if the contraction leaves
-    the float range (unnormalized tensors on long chains).
-    """
-    if a.nsites != b.nsites or a.local_dim != b.local_dim:
-        raise ValueError("states live on different lattices")
-    if a.boundary != b.boundary:
-        raise ValueError("boundary conditions differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _contract(map(_transfer, a.tensors, b.tensors), a.boundary)
-        value = np.conj(a.scale) * b.scale * out
-    if not np.isfinite([out, value]).all():
-        raise NumericalError(f"overlap: the contraction {out} left the float range")
-    return complex(value)
 
 
 def expectation(mps: MatrixProductState, ops: dict[int, np.ndarray]) -> complex:

@@ -40,11 +40,14 @@ TOLERANCES = MappingProxyType({
     "ppt_negative_eigenvalue": 1e-10,
     "witness_separable": 1e-9,
     "choi_psd": 1e-9,
+    "kraus_reconstruction": 1e-10,
     "haar_sigma": 3.0,
     "haar_approx_rel": 0.02,
     "mps_roundtrip": 1e-10,
     "mps_canonical": 1e-8,
     "mps_truncation_slack": 1e-10,
+    "renyi_truncation_slack": 1e-10,
+    "mps_reload": 0.0,
     "named_state_residual": 1e-8,
     "named_state_dense_form": 1e-12,
     "cluster_stabilizers": 1e-10,
@@ -52,12 +55,15 @@ TOLERANCES = MappingProxyType({
     "slope_ising": 0.02,
     "slope_xx": 0.03,
     "free_fermion_vs_dense": 1e-6,
+    "free_fermion_energy": 1e-10,
     "mutual_info_slack": 1e-9,
+    "markov_identity": 1e-12,
     "detailed_balance": 1e-10,
     "sector_positivity": 1e-10,
     "block_formula": 1e-12,
     "uniform_sector_match": 1e-12,
     "evolution_trace_distance": 1e-8,
+    "classical_evolution": 1e-8,
     "pair_sector_gap": 1e-8,
     "single_up_gap": 1e-4,
 })
@@ -130,18 +136,24 @@ def witness(p: float, samples: int, seed, tol=TOLERANCES) -> Outcome:
 
 def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
     """Reduction map detection; Choi-matrix CP tests of it, a random unitary
-    conjugation drawn from ``seed``, and the transposition."""
+    conjugation drawn from ``seed``, and the transposition; the unitary's
+    Kraus operators reproduce it on the maximally entangled projector."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     psd = tol["choi_psd"]
     red = measures.reduction_map(d)
-    out = measures.apply_map(red, states.max_entangled(d).projector())
+    plus = states.max_entangled(d).projector()
+    out = measures.apply_map(red, plus)
     detect = float(np.linalg.eigvalsh(out)[0])
     choi_red = float(np.linalg.eigvalsh(red.choi)[0])
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     u, _ = np.linalg.qr(g)
-    choi_uni = float(np.linalg.eigvalsh(measures.unitary_conjugation_map(u).choi)[0])
+    uni = measures.unitary_conjugation_map(u)
+    choi_uni = float(np.linalg.eigvalsh(uni.choi)[0])
+    lifted = [kron(np.eye(d), k) for k in measures.kraus_operators(uni)]
+    via_kraus = sum(k @ plus.matrix @ k.conj().T for k in lifted)
+    kraus_dev = float(np.abs(via_kraus - measures.apply_map(uni, plus)).max())
     values = {
         "d": d,
         "reduction_detection_min_eig": detect,
@@ -149,13 +161,16 @@ def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
         "choi_unitary_min_eig": choi_uni,
         "transposition_cp": measures.is_completely_positive(measures.transposition_map(d), psd),
         "reduction_cp": measures.is_completely_positive(red, psd),
+        "kraus_deviation": kraus_dev,
     }
     return Outcome(values, _failed(
         (detect < -psd, "reduction-detects-entanglement", f"min eigenvalue {detect:.1e}"),
         (choi_red < -psd, "reduction-choi-not-psd", f"min eigenvalue {choi_red:.1e}"),
         (choi_uni >= -psd, "unitary-choi-psd", f"min eigenvalue {choi_uni:.1e}"),
         (not values["transposition_cp"], "transposition-not-cp", "Choi matrix is PSD"),
-        (not values["reduction_cp"], "reduction-not-cp", "Choi matrix is PSD")))
+        (not values["reduction_cp"], "reduction-not-cp", "Choi matrix is PSD"),
+        (kraus_dev <= tol["kraus_reconstruction"], "kraus-reconstruction",
+         f"deviation {kraus_dev:.1e}")))
 
 
 def _mc_consistency(name: str, mean: float, err: float, exact: float, tol):
@@ -209,7 +224,10 @@ def mps_roundtrip(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
 
 def mps_truncate(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
     """Canonical MPS of a random state truncated to each ``dmax`` (one or a
-    tuple) within its discarded-weight bound; values and CSV of the last."""
+    tuple) within its discarded-weight bound and, at each cut that discards
+    weight, the order-1/2 Renyi bound on ``log eps``; values and CSV of the
+    last, ``renyi_bound_margin`` the least ``bound - log eps`` (None if no
+    cut discards weight)."""
     if dmax is None:
         raise ValueError("truncation needs a bond dimension (--dmax)")
     psi = _random_qubits(sites, seed)
@@ -221,9 +239,15 @@ def mps_truncate(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
         actual = float(np.linalg.norm(psi.amplitudes - cut.dense_amplitudes()) ** 2)
         failed += _failed((actual <= report.bound + tol["mps_truncation_slack"],
                            "truncation-bound", f"{actual} > {report.bound}"))
+        margin = min((mps.renyi_truncation_bound(
+                          states.renyi_entropy_from_spectrum(lam, 0.5, "e"), 0.5, bond)
+                      - math.log(eps) for lam, eps in zip(full.lambdas, report.discarded)
+                      if eps > 0), default=None)
+        failed += _failed((margin is None or margin >= -tol["renyi_truncation_slack"],
+                           "renyi-truncation-bound", f"margin {margin}"))
     return Outcome(
         {"sites": sites, "dmax": dmax, "bound": report.bound, "distance_sq": actual,
-         "csv": "mps_truncate.csv"},
+         "csv": "mps_truncate.csv", "renyi_bound_margin": margin},
         failed,
         (["cut", "discarded_weight"], [(k + 1, eps) for k, eps in enumerate(report.discarded)]))
 
@@ -235,7 +259,8 @@ NAMED_STATES = {
 
 
 def named_state(name: str, sites: int, tol=TOLERANCES, save=None) -> Outcome:
-    """A named MPS checked by its defining property; saved once it passed."""
+    """A named MPS checked by its defining property; saved once it passed,
+    and read back to the same tensors and scale."""
     if name not in NAMED_STATES:
         raise ValueError(f"unknown state {name}")
     state = NAMED_STATES[name](sites)
@@ -280,6 +305,13 @@ def named_state(name: str, sites: int, tol=TOLERANCES, save=None) -> Outcome:
     if save and not failed:
         mps.save_mps(state, save)
         values["saved"] = save
+        back = mps.load_mps(save)
+        dev = math.inf
+        if (back.boundary, back.bond_dims) == (state.boundary, state.bond_dims):
+            dev = max(float(np.abs(a - b).max())
+                      for a, b in zip([back.scale, *back.tensors], [state.scale, *state.tensors]))
+        values["reload_max_deviation"] = dev
+        failed = _failed((dev <= tol["mps_reload"], "mps-reload", f"deviation {dev:.1e}"))
     return Outcome(values, failed)
 
 
@@ -331,6 +363,7 @@ def mutualinfo_quantum(sites: int, beta, cut: int, gamma: float, h: float,
     """Thermal XY mutual information against its two area bounds (nats), for
     one Hamiltonian at each ``beta`` (one or a tuple); values of the last."""
     slack = tol["mutual_info_slack"]
+    chains.check_cut(cut, sites)
     ham = chains.build_xy(gamma, h, sites)
     rows, failed = [], []
     for b in _grid(beta):
@@ -351,15 +384,22 @@ def mutualinfo_quantum(sites: int, beta, cut: int, gamma: float, h: float,
 
 def mutualinfo_classical(sites: int, beta: float, cut: int, coupling: float,
                          tol=TOLERANCES) -> Outcome:
-    """Classical Ising-ring mutual information, area bound and boundary identity."""
+    """Classical Ising-ring mutual information, area bound, boundary identity,
+    and the Markov identity behind them with sites 0 and ``cut`` as separator."""
     slack = tol["mutual_info_slack"]
-    info, bound, gap = chains.classical_gibbs_mutual_info(
-        lambda a, b: -coupling * a * b, beta, sites, cut)
+
+    def ising(a, b):
+        return -coupling * a * b
+
+    info, bound, gap = chains.classical_gibbs_mutual_info(ising, beta, sites, cut)
+    markov = chains.markov_violation(ising, beta, sites, 0, cut)
     return Outcome(
         {"I_bits": info, "area_bound_bits": bound, "boundary_identity_gap": gap,
-         "csv": "mutualinfo.csv"},
+         "csv": "mutualinfo.csv", "markov_violation": markov},
         _failed((info <= bound + slack, "classical-area-bound", f"I {info:.6g} > {bound}"),
-                (gap <= slack, "boundary-identity", f"gap {gap:.1e}")),
+                (gap <= slack, "boundary-identity", f"gap {gap:.1e}"),
+                (markov <= tol["markov_identity"], "markov-identity",
+                 f"violation {markov:.1e}")),
         (["model", "N", "J", "beta", "cut", "I_bits", "area_bound_bits",
           "boundary_identity_gap"],
          [("ising-ring", sites, coupling, beta, cut, info, bound, gap)]))
@@ -372,6 +412,10 @@ TAU_PATTERNS = {
     "pair-up": TauSector.adjacent_pair_up,
     "half-up": TauSector.half_up,
 }
+
+# shortest ring of each family: a term reaches sites i-1..i+2 (i-1..i+1 single-flip)
+MIN_SITES = {"two-flip": 4, "single-flip": 3}
+
 
 def kinetic_spectra(model: str, n: int, patterns, phi_grid: int = 9,
                     gamma_grid: str = "0.9,0.99,0.999", levels: int = 4, delta: float = 0.0,
@@ -407,7 +451,8 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
                      tol=TOLERANCES) -> Outcome:
     """Largest trace distance between sector-split and direct evolution of the
     two-flip model at each time of ``t`` (one or a tuple), over random
-    initial states drawn first from ``seed``.
+    initial states drawn first from ``seed``; the diagonal of the first one
+    evolves through the sectors as under the classical master equation.
 
     The sector eigensystems and the vectorized generator depend on the model
     only; they are built once per call and shared by every (state, time)."""
@@ -426,10 +471,20 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
             dist = 0.5 * float(np.abs(np.linalg.svd(a.matrix - b.matrix,
                                                     compute_uv=False)).sum())
             worst = max(worst, dist)
+    # a diagonal start stays diagonal, and its diagonal follows classical_evolve
+    p0 = starts[0].matrix.diagonal().real
+    diagonal = states.DensityMatrix((2,) * n, np.diag(p0))
+    classical = 0.0
+    for at in _grid(t):
+        rho_t = kinetic.sector_split_evolve(diagonal, model, at, eigensystems).matrix
+        p_t = kinetic.classical_evolve(p0, model, at)
+        classical = max(classical, float(np.abs(rho_t - np.diag(p_t)).max()))
     return Outcome({"sites": n, "beta": beta, "t": t, "initial_states": initial_states,
-                    "max_trace_distance": worst},
+                    "max_trace_distance": worst, "classical_max_deviation": classical},
                    _failed((worst <= tol["evolution_trace_distance"], "sector-vs-direct",
-                            f"trace distance {worst:.1e}")))
+                            f"trace distance {worst:.1e}"),
+                           (classical <= tol["classical_evolution"], "sector-vs-classical",
+                            f"deviation {classical:.1e}")))
 
 
 def detailed_balance(model: str, sites: int, beta: float, delta: float = 0.0,
@@ -585,26 +640,34 @@ def check_classical_superposition(tol):
     return failed, "amplitudes and kernel verified at beta 0, 0.3, 0.6"
 
 
+# (sites, [(gamma, h), ...]) where criterion 9 checks free fermions against ED
+XY_DENSE_GRID = ((10, [(g, h) for g in (0.0, 0.5, 1.0) for h in (0.25, 0.8, 1.5)]),
+                 (12, [(1.0, 1.0), (0.5, 1.2)]))
+
+
 @_criterion("9", "area-law-slopes")
 def check_area_law_slopes(tol):
     """Critical XY slopes at N=128 and agreement with the dense route."""
     ising = arealaw(128, 1.0, 1.0, 8, 64, expect_slope=1 / 6, slope_tol=tol["slope_ising"])
     xx = arealaw(128, 0.0, 0.0, 8, 64, expect_slope=1 / 3, slope_tol=tol["slope_xx"])
-    worst = 0.0
-    for n, grid in ((10, [(g, h) for g in (0.0, 0.5, 1.0) for h in (0.25, 0.8, 1.5)]),
-                    (12, [(1.0, 1.0), (0.5, 1.2)])):
+    worst = energy = 0.0
+    for n, grid in XY_DENSE_GRID:
         for gamma, h in grid:
             ham = chains.build_xy(gamma, h, n)
-            _, v = chains.ground_state(ham)  # dense at 10 sites, Lanczos at 12
+            w, v = chains.ground_state(ham)  # dense at 10 sites, Lanczos at 12
+            ff_energy = freefermion.xy_ground_energy_free_fermion(gamma, h, n)
+            energy = max(energy, abs(w[0] - ff_energy))
             psi = states.PureState((2,) * n, v[:, 0])
             dense_s = chains.block_entropy_scan(psi, [n // 4, n // 2]).entropies_bits
             ff_s = freefermion.xy_entropy_free_fermion(gamma, h, n, [n // 4, n // 2])
             worst = max(worst, float(np.abs(np.array(dense_s) - np.array(ff_s)).max()))
     failed = ([f"critical Ising {f}" for f in ising.failed] + [f"XX {f}" for f in xx.failed]
               + _failed((worst <= tol["free_fermion_vs_dense"], "free-fermion-vs-dense",
-                         f"deviation {worst:.1e}")))
+                         f"deviation {worst:.1e}"),
+                        (energy <= tol["free_fermion_energy"], "free-fermion-energy",
+                         f"deviation {energy:.1e}")))
     return failed, (f"slopes {ising.values['slope']:.4f} and {xx.values['slope']:.4f}; "
-                    f"dense agreement {worst:.1e}")
+                    f"dense agreement {worst:.1e}, ground energies {energy:.1e}")
 
 
 @_criterion("10", "mutual-information")

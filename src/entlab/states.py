@@ -63,9 +63,6 @@ class PureState:
         """Rank-one density matrix |psi><psi|."""
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(self.amplitudes.conj() @ other.amplitudes)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -108,9 +105,6 @@ class DensityMatrix:
         """Ascending eigenvalues, computed once at validation (read-only)."""
         return self._spectrum
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
@@ -127,11 +121,6 @@ class SchmidtDecomposition:
     left: np.ndarray
     right: np.ndarray
     cut_dims: tuple[int, int] = field(default=(0, 0))
-
-    def reconstruct(self) -> np.ndarray:
-        """Amplitude vector of sum_i lambda_i |e_i>|f_i>."""
-        mat = (self.left * self.coefficients) @ self.right.conj().T
-        return mat.ravel()
 
 
 def _split_dims(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
@@ -213,7 +202,8 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "A", cut: int = 1) ->
 
 
 def is_ppt(rho: DensityMatrix, tol: float = 1e-10, cut: int = 1) -> tuple[bool, float]:
-    """Positive-partial-transpose test; returns (verdict, min eigenvalue)."""
+    """Positive-partial-transpose test; returns (verdict, min eigenvalue).
+    Public API that no command calls."""
     w = np.linalg.eigvalsh(check_hermitian(partial_transpose(rho, "A", cut)))
     return bool(w[0] >= -tol), float(w[0])
 
@@ -258,12 +248,14 @@ def renyi_entropy_from_spectrum(w: np.ndarray, alpha: float, base=2,
 
 
 def renyi_entropy(rho: DensityMatrix, alpha: float, base=2) -> float:
-    """Renyi entropy of order alpha; alpha = 0, 1, inf handled as limits."""
+    """Renyi entropy of order alpha; alpha = 0, 1, inf handled as limits.
+    Public API that no command calls."""
     return renyi_entropy_from_spectrum(rho.eigenvalues(), alpha, base)
 
 
 def mutual_information(rho: DensityMatrix, cut: int = 1, base=2) -> float:
-    """S(A) + S(B) - S(AB) across a contiguous bipartition."""
+    """S(A) + S(B) - S(AB) across a contiguous bipartition.
+    Public API that no command calls."""
     n = len(rho.dims)
     sa = von_neumann_entropy(partial_trace(rho, range(cut)), base)
     sb = von_neumann_entropy(partial_trace(rho, range(cut, n)), base)

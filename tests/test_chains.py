@@ -12,7 +12,6 @@ from entlab.chains import (
     build_xy,
     block_entropy_scan,
     classical_gibbs_mutual_info,
-    free_energy,
     free_fermion_entropy_scan,
     ground_state,
     lowest_levels,
@@ -30,7 +29,7 @@ from entlab.kinetic import (
 )
 from entlab.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, lanczos_lowest
 from entlab.mps import aklt_mps, cluster_mps, majumdar_ghosh_mps
-from entlab.states import DensityMatrix, PureState, random_density
+from entlab.states import DensityMatrix, PureState, random_density, von_neumann_entropy
 
 
 def test_builders_are_hermitian():
@@ -240,6 +239,12 @@ def test_thermal_state_minimizes_free_energy():
     rng = np.random.default_rng(1)
     ham = build_xy(0.8, 0.6, 4)
     beta = 0.9
+
+    def free_energy(ham, rho, beta):
+        """F = tr(H rho) - S(rho)/beta, entropy in nats."""
+        energy = float(np.trace(ham.dense() @ rho.matrix).real)
+        return energy - von_neumann_entropy(rho, base="e") / beta
+
     rho_beta = thermal_state(ham, beta)
     f_star = free_energy(ham, rho_beta, beta)
     for _ in range(20):

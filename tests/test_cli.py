@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entlab.cli import build_parser, main
@@ -523,7 +524,7 @@ def test_negative_symmetrized_spectrum_is_a_numerical_failure(tmp_path, capsys, 
 
 @pytest.mark.parametrize("kind,sites,cut", [
     ("quantum", 4, 0), ("quantum", 4, 4),
-    ("classical", 4, 0), ("classical", 4, 4), ("classical", 1, 1),
+    ("classical", 4, 0), ("classical", 4, 4), ("classical", 1, 1), ("quantum", 1, 1),
 ])
 def test_mutualinfo_cut_outside_the_chain_is_rejected(tmp_path, capsys, kind, sites, cut):
     assert run(tmp_path, "mutualinfo", kind, "--sites", str(sites), "--cut", str(cut)) == 2
@@ -543,6 +544,10 @@ def test_mutualinfo_cut_outside_the_chain_is_rejected(tmp_path, capsys, kind, si
     (("arealaw", "--gamma", "1", "--h", "1", "--expect-slope", "nan"), "--expect-slope"),
     (("arealaw", "--gamma=-inf", "--h", "1"), "--gamma"),
     (("witness", "--p", "nan"), "--p"),
+    (("kinetic", "spectra", "--sites", "2"), "--sites"),
+    (("kinetic", "spectra", "--sites", "3"), "--sites"),
+    (("kinetic", "spectra", "--model", "single-flip", "--sites", "2"), "--sites"),
+    (("kinetic", "evolve", "--sites", "3"), "--sites"),
 ])
 def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
@@ -564,3 +569,43 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration") and err.count("\n") == 1
     assert not missing.parent.exists()
+
+
+def reload_off_by_one_ulp(load):
+    def perturbed(path):
+        state = load(path)
+        state.tensors[0] = np.nextafter(state.tensors[0].real, np.inf) + 1j * state.tensors[0].imag
+        return state
+    return perturbed
+
+
+@pytest.mark.parametrize("argv, target, disagree, check, tolerance", [
+    (("maps", "--d", "3"), "measures.kraus_operators",
+     lambda f: lambda qmap: [1.001 * k for k in f(qmap)],
+     "kraus-reconstruction", "kraus_reconstruction"),
+    (("mps", "truncate", "--sites", "8", "--dmax", "2"), "mps.renyi_truncation_bound",
+     lambda f: lambda *a: f(*a) - 10.0, "renyi-truncation-bound", "renyi_truncation_slack"),
+    (("mps", "named", "--state", "aklt", "--sites", "6", "--save", "aklt.json"), "mps.load_mps",
+     reload_off_by_one_ulp, "mps-reload", "mps_reload"),
+    (("mutualinfo", "classical", "--sites", "12", "--beta", "0.5", "--cut", "6"),
+     "chains.markov_violation", lambda f: lambda *a: f(*a) + 1e-9,
+     "markov-identity", "markov_identity"),
+    (("kinetic", "evolve", "--sites", "6"), "kinetic.classical_evolve",
+     lambda f: lambda *a: f(*a) + 1e-6, "sector-vs-classical", "classical_evolution"),
+])
+def test_cross_checks_fail_when_their_oracle_disagrees(tmp_path, capsys, monkeypatch, argv,
+                                                       target, disagree, check, tolerance):
+    import importlib
+
+    from entlab.selftest import TOLERANCES
+
+    module, name = target.split(".")
+    module = importlib.import_module(f"entlab.{module}")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(tmp_path, *argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(module, name, disagree(getattr(module, name)))
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err.startswith(f"FAIL {check}:")
+    manifest = next(tmp_path.glob("*_manifest.json"))
+    assert json.loads(manifest.read_text())["tolerances"][tolerance] == TOLERANCES[tolerance]

@@ -12,8 +12,6 @@ from entlab.linalg import (
     hermitian_eig,
     kron,
     lanczos_lowest,
-    matrix_function,
-    matrix_sqrt_psd,
     svd,
     trace_norm,
 )
@@ -127,23 +125,6 @@ def test_trace_norm():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     assert trace_norm(swap / 2) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_matrix_function():
-    assert np.allclose(matrix_function(np.zeros((3, 3)), np.exp), np.eye(3))
-    assert np.allclose(matrix_function(PAULI_Z, lambda x: x ** 2), np.eye(2))
-    gibbs = matrix_function(-PAULI_Z.real, lambda x: np.exp(-x))
-    gibbs = gibbs / np.trace(gibbs)
-    z = np.exp(1) + np.exp(-1)
-    assert np.allclose(gibbs, np.diag([np.exp(1) / z, np.exp(-1) / z]))
-
-
-def test_matrix_sqrt_psd():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    p = a @ a.conj().T
-    r = matrix_sqrt_psd(p)
-    assert np.abs(r @ r - p).max() <= 1e-9 * np.abs(p).max()
 
 
 def test_lanczos_diag():

@@ -78,7 +78,8 @@ def test_schmidt_reconstruction_fidelity():
     for _ in range(500):
         da, db = rng.integers(2, 9, size=2)
         psi = random_pure((da, db), rng)
-        rec = schmidt(psi).reconstruct()
+        sd = schmidt(psi)
+        rec = ((sd.left * sd.coefficients) @ sd.right.conj().T).ravel()
         assert abs(np.vdot(psi.amplitudes, rec)) >= 1 - 1e-10
 
 
