@@ -72,7 +72,6 @@ class SpinHamiltonian:
     nsites: int
     local_dim: int
     terms: list  # (coeff, ((site, matrix), ...)) with sites strictly increasing
-    boundary: str = "periodic"
 
     def add(self, coeff: float, factors) -> None:
         factors = tuple(sorted(((int(s) % self.nsites, np.asarray(m, dtype=complex))
@@ -152,24 +151,6 @@ class SpinHamiltonian:
         check_budget("lanczos_max_dim", dim, "sparse diagonalization dimension")
         return self.dense() if dim <= BUDGET["dense_dim"] else self.sparse()
 
-    def classify_terms(self, cut: int):
-        """Split terms into (inside A, crossing, inside B) for A = sites [0, cut)."""
-        inside_a, crossing, inside_b = [], [], []
-        for term in self.terms:
-            sites = {s for s, _ in term[1]}
-            in_a = any(s < cut for s in sites)
-            in_b = any(s >= cut for s in sites)
-            if in_a and in_b:
-                crossing.append(term)
-            elif in_a:
-                inside_a.append(term)
-            else:
-                inside_b.append(term)
-        return inside_a, crossing, inside_b
-
-    def subset(self, terms) -> "SpinHamiltonian":
-        return SpinHamiltonian(self.nsites, self.local_dim, list(terms), self.boundary)
-
 
 def _bonds(n: int, bc: str, reach: int = 1):
     last = n if bc == "periodic" else n - reach
@@ -184,7 +165,7 @@ def build_xy(gamma: float, h: float, n: int, bc: str = "periodic") -> SpinHamilt
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("anisotropy must lie in [0, 1]")
-    ham = SpinHamiltonian(n, 2, [], bc)
+    ham = SpinHamiltonian(n, 2, [])
     for i, j in _bonds(n, bc):
         ham.add(-0.5 * (1 + gamma) / 2, [(i, PAULI_X), (j, PAULI_X)])
         ham.add(-0.5 * (1 - gamma) / 2, [(i, PAULI_Y), (j, PAULI_Y)])
@@ -193,12 +174,12 @@ def build_xy(gamma: float, h: float, n: int, bc: str = "periodic") -> SpinHamilt
     return ham
 
 
-def build_aklt(n: int, bc: str = "periodic") -> SpinHamiltonian:
-    """Spin-1 chain H = sum_i S_i.S_{i+1} + (1/3)(S_i.S_{i+1})^2."""
+def build_aklt(n: int) -> SpinHamiltonian:
+    """Periodic spin-1 chain H = sum_i S_i.S_{i+1} + (1/3)(S_i.S_{i+1})^2."""
     s = spin1_matrices()
     axes = [s["x"], s["y"], s["z"]]
-    ham = SpinHamiltonian(n, 3, [], bc)
-    for i, j in _bonds(n, bc):
+    ham = SpinHamiltonian(n, 3, [])
+    for i, j in _bonds(n, "periodic"):
         for a in axes:
             ham.add(1.0, [(i, a), (j, a)])
         for a in axes:
@@ -207,14 +188,14 @@ def build_aklt(n: int, bc: str = "periodic") -> SpinHamiltonian:
     return ham
 
 
-def build_mg(n: int, bc: str = "periodic") -> SpinHamiltonian:
-    """Majumdar-Ghosh chain H = sum_i 2 s_i.s_{i+1} + s_i.s_{i+2}, Pauli matrices."""
-    if bc == "periodic" and n < 4 or bc == "open" and n < 3:
+def build_mg(n: int) -> SpinHamiltonian:
+    """Periodic Majumdar-Ghosh chain H = sum_i 2 s_i.s_{i+1} + s_i.s_{i+2}, Pauli matrices."""
+    if n < 4:
         raise ValueError("chain too short for next-nearest-neighbor terms")
-    ham = SpinHamiltonian(n, 2, [], bc)
+    ham = SpinHamiltonian(n, 2, [])
     paulis = [PAULI_X, PAULI_Y, PAULI_Z]
     for reach, coeff in ((1, 2.0), (2, 1.0)):
-        for i, j in _bonds(n, bc, reach):
+        for i, j in _bonds(n, "periodic", reach):
             for a in paulis:
                 ham.add(coeff, [(i, a), (j, a)])
     return ham
@@ -227,7 +208,7 @@ def build_cluster(sign: int, n: int, bc: str = "periodic") -> SpinHamiltonian:
         raise ValueError("sign must be +1 or -1")
     if n < 3:
         raise ValueError("need at least 3 sites")
-    ham = SpinHamiltonian(n, 2, [], bc)
+    ham = SpinHamiltonian(n, 2, [])
     rng = range(n) if bc == "periodic" else range(1, n - 1)
     for i in rng:
         ham.add(float(sign), [((i - 1) % n, PAULI_Z), (i, PAULI_X), ((i + 1) % n, PAULI_Z)])
@@ -337,7 +318,8 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
     """Thermal mutual information against its boundary bounds (all nats).
 
     Returns (I, boundary-energy bound, nearest-neighbor bound) for the
-    bipartition A = sites [0, cut).  Raises if any term has empty support.
+    bipartition A = sites [0, cut); a term crosses the cut when its first
+    site lies in A and its last in B.
     """
     n = ham.nsites
     check_cut(cut, n)
@@ -346,8 +328,8 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
     rho_b = partial_trace(rho, range(cut, n))
     info = (von_neumann_entropy(rho_a, "e") + von_neumann_entropy(rho_b, "e")
             - von_neumann_entropy(rho, "e"))
-    _, crossing, _ = ham.classify_terms(cut)
-    h_boundary = ham.subset(crossing).dense()
+    crossing = [(c, f) for c, f in ham.terms if f and f[0][0] < cut <= f[-1][0]]
+    h_boundary = SpinHamiltonian(n, ham.local_dim, crossing).dense()
     product = np.kron(rho_a.matrix, rho_b.matrix)
     boundary_bound = beta * float(np.trace(h_boundary @ (product - rho.matrix)).real)
     # loose form: 2 beta |h| per boundary site, |h| the largest crossing-term norm
@@ -367,11 +349,14 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
 # classical Gibbs rings
 # ---------------------------------------------------------------------------
 
-def _ring_probabilities(coupling, beta: float, n: int, values) -> np.ndarray:
-    d = len(values)
+SPINS = (1.0, -1.0)  # the site values of a classical ring, in digit order
+
+
+def _ring_probabilities(coupling, beta: float, n: int) -> np.ndarray:
+    d = len(SPINS)
     codes = np.arange(d ** n)
     digits = (codes[:, None] // d ** np.arange(n)[None, :]) % d
-    table = np.array([[coupling(a, b) for b in values] for a in values], dtype=float)
+    table = np.array([[coupling(a, b) for b in SPINS] for a in SPINS], dtype=float)
     energy = np.zeros(len(codes))
     for i in range(n):
         energy += table[digits[:, i], digits[:, (i + 1) % n]]
@@ -392,8 +377,7 @@ def _marginal_entropy_bits(p: np.ndarray, digits: np.ndarray, sites, d: int) -> 
     return entropy_from_probabilities(_marginal(p, digits, sites, d)[1], 2)
 
 
-def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
-                                values=(1.0, -1.0)):
+def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int):
     """Shannon mutual information of a classical Gibbs ring across a cut.
 
     Returns (I bits, area bound |dA| log2 d, boundary identity violation)
@@ -402,8 +386,8 @@ def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
     """
     check_cut(cut, n)
     check_budget("classical_ring_max_sites", n, "classical enumeration sites")
-    d = len(values)
-    p, digits = _ring_probabilities(coupling, beta, n, values)
+    d = len(SPINS)
+    p, digits = _ring_probabilities(coupling, beta, n)
     a = list(range(cut))
     b = list(range(cut, n))
     info = (_marginal_entropy_bits(p, digits, a, d)
@@ -418,14 +402,13 @@ def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int,
     return float(info), float(bound), abs(float(info) - float(info_boundary))
 
 
-def markov_violation(coupling, beta: float, n: int, site_c1: int, site_c2: int,
-                     values=(1.0, -1.0)) -> float:
+def markov_violation(coupling, beta: float, n: int, site_c1: int, site_c2: int) -> float:
     """Max violation of p(A,B,C) = p(A,C) p(B,C) / p(C) on a Gibbs ring.
 
     C = {site_c1, site_c2} separates the ring into two arcs A and B.
     """
-    d = len(values)
-    p, digits = _ring_probabilities(coupling, beta, n, values)
+    d = len(SPINS)
+    p, digits = _ring_probabilities(coupling, beta, n)
     c = sorted({site_c1 % n, site_c2 % n})
     if len(c) != 2:
         raise ValueError("need two distinct separator sites")

@@ -180,6 +180,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _time(text: str) -> float:
+    """argparse type for an evolution time: a finite float >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs a time >= 0, got {text!r}")
+    return value
+
+
 def _gamma_grid(text: str) -> str:
     """argparse type for one or more comma-separated finite floats in [0, 1]."""
     try:
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ksub.add_parser("evolve", help="sector-split evolution against the oracle")
     p.add_argument("--sites", type=_int_at_least(1, "sites"), default=6)
     p.add_argument("--beta", type=_finite_float, default=0.4)
-    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_time, default=1.0)
     p.add_argument("--initial-states", type=_int_at_least(1, "initial states"), default=3)
     p.set_defaults(fn=cmd_kinetic_evolve)
 

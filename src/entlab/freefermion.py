@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy
 
+from .linalg import check_budget
 from .states import binary_entropy
 
 
@@ -98,6 +99,7 @@ def ground_covariance(k: np.ndarray, parity: int | None = None) -> tuple[float, 
 def xy_ground_covariance(gamma: float, h: float, n: int,
                          bc: str = "periodic") -> tuple[float, np.ndarray]:
     """Ground energy and Majorana covariance of the spin chain's ground state."""
+    check_budget("full_spectrum_max_dim", 2 * n, "Majorana covariance dimension")
     if bc == "open":
         e, cov, _ = ground_covariance(majorana_quadratic(gamma, h, n, 0.0))
         return e, cov
@@ -121,11 +123,9 @@ def block_entropy_bits(cov: np.ndarray, n_block: int) -> float:
 
 
 def xy_entropy_free_fermion(gamma: float, h: float, n: int, blocks,
-                            bc: str = "periodic"):
-    """Block entropies S({1..n_b}) in bits for one or many block sizes."""
+                            bc: str = "periodic") -> list[float]:
+    """Block entropies S({1..n_b}) in bits, one per block size in ``blocks``."""
     _, cov = xy_ground_covariance(gamma, h, n, bc)
-    if np.isscalar(blocks):
-        return block_entropy_bits(cov, int(blocks))
     return [block_entropy_bits(cov, int(b)) for b in blocks]
 
 

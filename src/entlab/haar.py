@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .linalg import check_budget
 from .states import PureState, random_pure
 
 LN2 = math.log(2.0)
@@ -62,6 +63,7 @@ def _reduced_spectrum(m: int, n: int, rng, count: int = 1) -> np.ndarray:
     stacked SVD runs the same LAPACK routine on each matrix, so every row
     equals the spectrum of the corresponding single draw bit for bit.
     """
+    check_budget("haar_max_amplitudes", m * n, "Haar state amplitudes m n")
     z = rng.standard_normal((count, 2, m, n))
     g = z[:, 0] + 1j * z[:, 1]
     s = np.linalg.svd(g, compute_uv=False)

@@ -50,13 +50,16 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 BUDGET = MappingProxyType({
     "dense_dim": 1024,                     # SpinHamiltonian.operator
     "lanczos_max_dim": 2 ** 20,            # SpinHamiltonian.operator
-    "full_spectrum_max_dim": 2 * 4096,     # chains.thermal_state, kinetic.symmetrize
+    # chains.thermal_state, kinetic.symmetrize, freefermion.xy_ground_covariance
+    # (2N Majoranas), the measures and maps experiments (d^2)
+    "full_spectrum_max_dim": 2 * 4096,
     "classical_ring_max_sites": 20,        # chains.classical_gibbs_mutual_info
     "generator_max_sites": 20,             # kinetic.build_generator
     "direct_evolve_max_sites": 7,          # kinetic.direct_evolve, kinetic evolve
     "sector_evolve_max_sites": 10,         # kinetic sector evolution
     "spectra_scan_max_sites": 17,          # kinetic.sector_spectra_scan
     "mps_dense_max_amplitudes": 2 ** 16,   # MatrixProductState.to_dense
+    "haar_max_amplitudes": 2 ** 14,        # m n of each Haar draw (haar._reduced_spectrum)
 })
 
 
@@ -130,13 +133,13 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return (a + ah) / 2
 
 
-def hermitian_eig(a: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ascending and orthonormal eigenvector
     columns, after the Hermiticity check of :func:`check_hermitian`.
     """
-    return np.linalg.eigh(check_hermitian(a, tol))
+    return np.linalg.eigh(check_hermitian(a))
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -151,7 +154,6 @@ def lanczos_lowest(
     op,
     k: int = 1,
     seed: int = 0,
-    tol: float = 1e-11,
     maxiter: int = 1200,
     return_vectors: bool = False,
 ):
@@ -159,9 +161,11 @@ def lanczos_lowest(
 
     Deflated Lanczos with full re-orthogonalization: eigenpairs are extracted
     one at a time, each run restricted to the orthogonal complement of the
-    converged eigenvectors.  Full re-orthogonalization keeps the Krylov basis
-    numerically orthogonal, and the deflation resolves exact degeneracies
-    (a single Krylov sequence only ever sees one vector per eigenspace).
+    converged eigenvectors; a run has converged once the residual
+    ``|H v - w v|`` is at most 1e-11 of the operator scale.  Full
+    re-orthogonalization keeps the Krylov basis numerically orthogonal, and
+    the deflation resolves exact degeneracies (a single Krylov sequence only
+    ever sees one vector per eigenspace).
 
     Parameters
     ----------
@@ -171,9 +175,6 @@ def lanczos_lowest(
         Number of lowest eigenvalues.
     seed : int
         Seed for the random start vectors; fixed seed gives a fixed result.
-    tol : float
-        Convergence threshold on the residual norm ``|H v - w v|`` relative
-        to the operator scale.
     maxiter : int
         Hard cap on Lanczos steps per deflation round.
 
@@ -237,7 +238,7 @@ def lanczos_lowest(
                 value = tri_w[0]
                 vector = basis[:m].T @ tri_v[:, 0]
                 resid = float(np.linalg.norm(op @ vector - value * vector))
-                if resid <= tol * scale or spanned:
+                if resid <= 1e-11 * scale or spanned:
                     converged = True
                     break
             if out_of_room:
@@ -253,7 +254,7 @@ def lanczos_lowest(
         if not converged:
             raise NumericalError(
                 f"Lanczos did not converge within {maxiter} iterations "
-                f"(last residual above {tol:g} * scale)"
+                "(last residual above 1e-11 * scale)"
             )
         vector = project_out(vector)
         vector /= np.linalg.norm(vector)

@@ -111,14 +111,15 @@ class Witness:
     """Hermitian observable detecting entanglement by a negative mean value.
 
     Construction verifies the operator is Hermitian and has at least one
-    negative eigenvalue, and spot-checks nonnegativity on a sample of random
-    separable states (a sanity check, not a proof of witness-hood).
+    negative eigenvalue, and spot-checks nonnegativity on the same 50 random
+    separable states, drawn from seed 0, for every witness (a sanity check,
+    not a proof of witness-hood).
     """
 
     operator: np.ndarray
     dims: tuple[int, int]
 
-    def __init__(self, operator, dims, spot_check: int = 50, seed: int = 0):
+    def __init__(self, operator, dims):
         operator = check_hermitian(np.asarray(operator, dtype=complex))
         dims = (int(dims[0]), int(dims[1]))
         if operator.shape[0] != dims[0] * dims[1]:
@@ -126,8 +127,8 @@ class Witness:
         w = np.linalg.eigvalsh(operator)
         if w[0] >= -1e-12:
             raise ValueError("a witness must have a negative eigenvalue")
-        rng = np.random.default_rng(seed)
-        for _ in range(spot_check):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
             sigma = random_separable(dims[0], dims[1], rng)
             val = np.trace(operator @ sigma.matrix).real
             if val < -1e-9:
@@ -241,9 +242,9 @@ def reduction_map(d: int) -> QuantumMap:
     return QuantumMap(d, d, choi=np.eye(d * d) - np.outer(e, e))
 
 
-def apply_map(qmap: QuantumMap, rho: DensityMatrix, cut: int = 1) -> np.ndarray:
-    """(I (x) Lambda)(rho), with Lambda acting on B, the subsystems from ``cut`` on."""
-    da = int(np.prod(rho.dims[:cut]))
+def apply_map(qmap: QuantumMap, rho: DensityMatrix) -> np.ndarray:
+    """(I (x) Lambda)(rho), with Lambda acting on B, every subsystem but the first."""
+    da = rho.dims[0]
     db = rho.dim // da
     if qmap.dim_in != db:
         raise ValueError("map input dimension does not match subsystem B")

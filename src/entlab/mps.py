@@ -393,20 +393,21 @@ def cluster_mps(n: int) -> MatrixProductState:
     return _uniform_pbc([a0, a1], n)
 
 
-def classical_superposition_mps(coupling, beta: float, n: int,
-                                values=(1.0, -1.0)) -> MatrixProductState:
+def classical_superposition_mps(coupling, beta: float, n: int) -> MatrixProductState:
     """Thermal superposition state of a classical ring of pair interactions.
 
     The amplitudes of the produced periodic MPS are proportional to
-    ``exp(-beta H(s) / 2)`` with ``H(s) = sum_i coupling(s_i, s_{i+1})``.
+    ``exp(-beta H(s) / 2)`` with ``H(s) = sum_i coupling(s_i, s_{i+1})`` over
+    spins ``s_i`` in (1, -1), site digit 0 for 1.
     The construction needs the symmetric matrix
     ``M[s, s'] = exp(-beta coupling(s, s') / 2)`` to be positive
     semidefinite; its principal square root provides the local frame.
     """
-    d = len(values)
+    spins = (1.0, -1.0)
+    d = len(spins)
     m = np.empty((d, d))
-    for a, sa in enumerate(values):
-        for b, sb in enumerate(values):
+    for a, sa in enumerate(spins):
+        for b, sb in enumerate(spins):
             m[a, b] = math.exp(-0.5 * beta * coupling(sa, sb))
     if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
         raise ValueError("coupling must be symmetric")

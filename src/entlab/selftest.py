@@ -96,6 +96,7 @@ def maxent_measures(d: int, tol=TOLERANCES) -> Outcome:
     """Entanglement measures of the maximally entangled state in closed form."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
+    check_budget("full_spectrum_max_dim", d * d, "maximally entangled state dimension")
     psi = states.max_entangled(d)
     rho = psi.projector()
     values = {
@@ -140,6 +141,7 @@ def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
     Kraus operators reproduce it on the maximally entangled projector."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
+    check_budget("full_spectrum_max_dim", d * d, "Choi matrix dimension")
     psd = tol["choi_psd"]
     red = measures.reduction_map(d)
     plus = states.max_entangled(d).projector()

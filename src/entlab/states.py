@@ -120,7 +120,6 @@ class SchmidtDecomposition:
     rank: int
     left: np.ndarray
     right: np.ndarray
-    cut_dims: tuple[int, int] = field(default=(0, 0))
 
 
 def _split_dims(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
@@ -142,9 +141,7 @@ def schmidt(psi: PureState, cut: int = 1, cutoff: float = SCHMIDT_CUTOFF) -> Sch
     u, s, vh = svd(mat)
     keep = s > cutoff
     s, u, vh = s[keep], u[:, keep], vh[keep, :]
-    return SchmidtDecomposition(
-        coefficients=s, rank=int(s.size), left=u, right=vh.conj().T, cut_dims=(da, db)
-    )
+    return SchmidtDecomposition(coefficients=s, rank=int(s.size), left=u, right=vh.conj().T)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -231,14 +228,13 @@ def von_neumann_entropy(rho: DensityMatrix, base=2) -> float:
     return entropy_from_probabilities(np.clip(w, 0.0, None), base)
 
 
-def renyi_entropy_from_spectrum(w: np.ndarray, alpha: float, base=2,
-                                cutoff: float = SCHMIDT_CUTOFF) -> float:
+def renyi_entropy_from_spectrum(w: np.ndarray, alpha: float, base=2) -> float:
     log = _log(base)
     w = np.clip(np.asarray(w, dtype=float), 0.0, None)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if alpha == 0:
-        return float(log(np.count_nonzero(w > cutoff)))
+        return float(log(np.count_nonzero(w > SCHMIDT_CUTOFF)))
     if alpha == 1:
         return entropy_from_probabilities(w, base)
     if np.isinf(alpha):
@@ -283,16 +279,15 @@ def random_density(dims, rng, rank: int | None = None) -> DensityMatrix:
     return DensityMatrix(dims, m / np.trace(m).real)
 
 
-def random_schmidt_rank_state(da: int, db: int, rank: int, rng,
-                              coeff_low: float = 0.2) -> PureState:
+def random_schmidt_rank_state(da: int, db: int, rank: int, rng) -> PureState:
     """Pure state with exactly the requested Schmidt rank.
 
-    Schmidt coefficients are drawn in ``[coeff_low, 1]`` before normalization
-    so none of them degenerates to numerical noise.
+    Schmidt coefficients are drawn in ``[0.2, 1]`` before normalization so
+    none of them degenerates to numerical noise.
     """
     if rank > min(da, db):
         raise ValueError("rank cannot exceed min(da, db)")
-    lam = rng.uniform(coeff_low, 1.0, size=rank)
+    lam = rng.uniform(0.2, 1.0, size=rank)
     lam /= np.linalg.norm(lam)
     ga = rng.standard_normal((da, rank)) + 1j * rng.standard_normal((da, rank))
     gb = rng.standard_normal((db, rank)) + 1j * rng.standard_normal((db, rank))
@@ -324,17 +319,18 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_separable(da: int, db: int, rng, nterms: int | None = None) -> DensityMatrix:
+def random_separable(da: int, db: int, rng) -> DensityMatrix:
     """Random mixture of product projectors with Dirichlet weights.
 
-    The number of terms respects the Caratheodory bound (da*db)^2.  This is a
-    sampler of separable states, not a separability oracle.  The normals of
-    all terms come from one draw, each term taking its factors' real and
-    imaginary parts in the order a-real, a-imag, b-real, b-imag; the result
-    equals drawing each factor with :func:`random_pure` in turn.
+    The number of terms is drawn uniformly from 1 to the Caratheodory bound
+    (da*db)^2.  This is a sampler of separable states, not a separability
+    oracle.  The normals of all terms come from one draw, each term taking its
+    factors' real and imaginary parts in the order a-real, a-imag, b-real,
+    b-imag; the result equals drawing each factor with :func:`random_pure` in
+    turn.
     """
     kmax = (da * db) ** 2
-    k = int(rng.integers(1, kmax + 1)) if nterms is None else min(nterms, kmax)
+    k = int(rng.integers(1, kmax + 1))
     weights = rng.dirichlet(np.ones(k))
     z = rng.standard_normal((k, 2 * da + 2 * db))
     a = _unit_rows(z[:, :da] + 1j * z[:, da:2 * da])

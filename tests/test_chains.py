@@ -393,11 +393,18 @@ def _single_flip_model(n):
     return KineticModel.single_flip(n, gamma=0.7, delta=0.2)
 
 
+def _open_aklt(n):
+    """The AKLT chain without the bond that closes the ring."""
+    ham = build_aklt(n)
+    ham.terms = [t for t in ham.terms if not (t[1][0][0] == 0 and t[1][-1][0] == n - 1)]
+    return ham
+
+
 ORACLE_BUILDERS = {
     "xy-gamma-0.5": lambda: build_xy(0.5, 0.8, 8),
     "xy-gamma-1": lambda: build_xy(1.0, 1.0, 8),
     "aklt-periodic": lambda: build_aklt(5),
-    "aklt-open": lambda: build_aklt(5, "open"),
+    "aklt-open": lambda: _open_aklt(5),
     "mg": lambda: build_mg(8),
     "cluster": lambda: build_cluster(-1, 7),
     "tau-two-flip-6": lambda: build_h_tau_two_flip(TauSector.adjacent_pair_up(6), 0.4, 6),
@@ -419,7 +426,7 @@ def test_assembly_is_bitwise_kronecker(name):
 def test_assembly_random_terms_bitwise(d):
     rng = np.random.default_rng(d)
     n = 4
-    ham = SpinHamiltonian(n, d, [], "open")
+    ham = SpinHamiltonian(n, d, [])
     for _ in range(6):
         sites = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
         factors = []
@@ -444,7 +451,7 @@ def test_assembly_constant_term():
 
 def test_assembly_wraps_periodic_boundary():
     n = 5
-    ham = SpinHamiltonian(n, 2, [], "periodic")
+    ham = SpinHamiltonian(n, 2, [])
     ham.add(0.75, [(n - 1, PAULI_X), (n, PAULI_Z)])  # site n is site 0
     target = 0.75 * kron(PAULI_Z, np.eye(8), PAULI_X).real
     assert np.array_equal(ham.dense(), target)
@@ -456,7 +463,7 @@ def test_assembly_spin1_products():
     s = spin1_matrices()
     xy = s["x"] @ s["y"]
     assert (np.count_nonzero(xy, axis=0) > 1).any()
-    ham = SpinHamiltonian(3, 3, [], "open")
+    ham = SpinHamiltonian(3, 3, [])
     ham.add(1.0 / 3.0, [(0, xy), (2, xy)])
     ham.add(1.0 / 3.0, [(1, s["x"] @ s["x"]), (2, s["x"] @ s["x"])])
     target = (kron(xy, np.eye(3), xy) + kron(np.eye(3), s["x"] @ s["x"], s["x"] @ s["x"])) / 3

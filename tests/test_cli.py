@@ -38,8 +38,16 @@ def test_invalid_config_exit_code(tmp_path):
     assert run(tmp_path, "witness", "--p", "0.2") == 2
 
 
-def test_resource_limit_exit_code(tmp_path):
+def test_resource_limit_exit_code(tmp_path, capsys):
     assert run(tmp_path, "kinetic", "evolve", "--sites", "9") == 3
+    # arrays of tens to hundreds of GiB: the limit is checked before allocating them
+    for argv in (("measures", "maxent", "--d", "300"), ("maps", "--d", "300"),
+                 ("arealaw", "--gamma", "1", "--h", "1", "--sites", "100000"),
+                 ("lubkin", "--m", "3000", "--n", "3000")):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_page_command(tmp_path, capsys):
@@ -252,6 +260,12 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     import entlab.chains as chains
     from entlab.linalg import NumericalError
+
+    # the exp(beta E / 4) scaling at beta 6 amplifies roundoff past the evolved
+    # state's 1e-8 Hermiticity check
+    assert run(tmp_path, "kinetic", "evolve", "--sites", "6", "--beta", "6", "--t", "3") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: evolved state") and err.count("\n") == 1
 
     def not_converged(*args, **kwargs):
         raise NumericalError("Lanczos did not converge within 1 iterations")
@@ -548,6 +562,7 @@ def test_mutualinfo_cut_outside_the_chain_is_rejected(tmp_path, capsys, kind, si
     (("kinetic", "spectra", "--sites", "3"), "--sites"),
     (("kinetic", "spectra", "--model", "single-flip", "--sites", "2"), "--sites"),
     (("kinetic", "evolve", "--sites", "3"), "--sites"),
+    (("kinetic", "evolve", "--t", "-1"), "--t"),
 ])
 def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

@@ -50,12 +50,6 @@ def test_block_entropy_monotone_block():
     assert s[0] < s[1] < s[2]  # grows toward the half chain at criticality
 
 
-def test_entropy_scalar_and_list_agree():
-    one = xy_entropy_free_fermion(0.5, 0.7, 24, 6)
-    many = xy_entropy_free_fermion(0.5, 0.7, 24, [4, 6])
-    assert one == pytest.approx(many[1])
-
-
 def test_open_chain_end_block_scaling_is_half():
     # an end block of an open critical chain carries half the periodic slope
     ns = list(range(8, 33))

@@ -42,8 +42,6 @@ def test_model_validation():
         KineticModel.single_flip(4, gamma=1.5)
     with pytest.raises(ValueError):
         KineticModel.single_flip(4)
-    with pytest.raises(ValueError):
-        KineticModel.two_flip(4, phi=1.0)
     m2 = KineticModel.two_flip(6, beta=0.3)
     assert m2.phi == pytest.approx(math.atan(math.tanh(0.3)))
     assert math.sin(2 * m2.phi) == pytest.approx(m2.gamma)
@@ -51,7 +49,7 @@ def test_model_validation():
 
 def test_model_rejects_pair_with_delta():
     with pytest.raises(ValueError):
-        KineticModel("pair", 6, 1.0, 0.4, delta=0.2)
+        KineticModel("pair", 6, 0.4, delta=0.2)
 
 
 def test_tau_sector_code_range():
@@ -76,11 +74,11 @@ def test_tau_sector_codes():
 
 def test_glauber_rate_values():
     n = 8
-    flat = KineticModel.single_flip(n, gamma=0.0, delta=0.0, rate_scale=1.3)
+    flat = KineticModel.single_flip(n, gamma=0.0, delta=0.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         s = rng.choice([-1, 1], size=n)
-        assert glauber_rate(s, int(rng.integers(n)), flat) == pytest.approx(1.3)
+        assert glauber_rate(s, int(rng.integers(n)), flat) == pytest.approx(1.0)
 
     model = KineticModel.single_flip(n, gamma=0.6, delta=0.25)
     up = np.ones(n)
@@ -106,12 +104,12 @@ def test_two_flip_rate_values():
 
 
 def test_generator_columns_and_uniform_gap():
-    model = KineticModel.single_flip(3, gamma=0.0, delta=0.0, rate_scale=0.7)
+    model = KineticModel.single_flip(3, gamma=0.0, delta=0.0)
     gen = build_generator(model)
     assert np.abs(np.asarray(gen.sum(axis=0))).max() <= 1e-12
     w = np.linalg.eigvalsh(gen.toarray())
     assert w[-1] == pytest.approx(0.0, abs=1e-12)
-    assert w[-2] == pytest.approx(-2 * 0.7, abs=1e-10)
+    assert w[-2] == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_generator_stationary_gibbs():
@@ -140,18 +138,15 @@ def test_detailed_balance_negative_control():
     model = KineticModel.single_flip(5, gamma=0.5, delta=0.0)
     gen = build_generator(model).tolil()
     gen[1, 0] *= 1.01  # corrupt one rate
-    worst, pair = detailed_balance_violation(
-        gen.tocsr(), ising_energies(5), model.beta
-    )
+    worst = detailed_balance_violation(gen.tocsr(), ising_energies(5), model.beta)
     assert worst > 1e-3
-    assert set(pair) == {0, 1}
 
 
 def detailed_balance_reference(gen, energies, beta):
     """Entry-by-entry form of detailed_balance_violation, over a dict of rates."""
     coo = gen.tocoo()
     boltz = np.exp(-beta * (energies - energies.min()))
-    worst, worst_pair = 0.0, (0, 0)
+    worst = 0.0
     lhs_all = {}
     for r, c, v in zip(coo.row, coo.col, coo.data):
         if r != c:
@@ -162,9 +157,8 @@ def detailed_balance_reference(gen, energies, beta):
         rhs = w_st * boltz[t]
         scale = max(abs(lhs), abs(rhs), 1e-300)
         rel = abs(lhs - rhs) / scale
-        if rel > worst:
-            worst, worst_pair = rel, (int(s), int(t))
-    return worst, worst_pair
+        worst = max(worst, float(rel))
+    return worst
 
 
 def test_detailed_balance_matches_the_entrywise_reference():
@@ -180,10 +174,10 @@ def test_detailed_balance_matches_the_entrywise_reference():
     # rates of the wrong temperature violate every reversible pair
     cases.append((build_generator(model), ising_energies(5), 0.7 * model.beta))
     for gen, energies, beta in cases:
-        worst, pair = detailed_balance_violation(gen, energies, beta)
-        want, want_pair = detailed_balance_reference(gen, energies, beta)
-        assert type(worst) is type(want) and repr(worst) == repr(want) and pair == want_pair
-    assert detailed_balance_violation(*cases[-2])[0] > 1e-3
+        worst = detailed_balance_violation(gen, energies, beta)
+        want = detailed_balance_reference(gen, energies, beta)
+        assert type(worst) is float and repr(worst) == repr(want)
+    assert detailed_balance_violation(*cases[-2]) > 1e-3
 
 
 def test_symmetrize_structure():
@@ -200,17 +194,17 @@ def test_symmetrize_structure():
 
 def test_symmetrize_infinite_temperature():
     n = 5
-    model = KineticModel.single_flip(n, gamma=0.0, delta=0.0, rate_scale=1.4)
+    model = KineticModel.single_flip(n, gamma=0.0, delta=0.0)
     h = symmetrize(model)
     target = np.zeros_like(h)
     for i in range(n):
         mats = [np.eye(2)] * n
-        target += 1.4 * np.eye(2 ** n)
+        target += np.eye(2 ** n)
         mats[i] = PAULI_X.real
         op = mats[0]
         for m in mats[1:]:
             op = np.kron(op, m)
-        target -= 1.4 * op
+        target -= op
     assert np.abs(h - target).max() <= 1e-12
 
 
@@ -248,16 +242,16 @@ def test_h_tau_single_flip_mixed_branch():
     n = 6
     gamma, delta = 0.6, 0.4
     model = KineticModel.single_flip(n, gamma=gamma, delta=delta)
-    tau = TauSector.single_up(n, 2)
+    tau = TauSector.single_up(n)  # tau up at site n // 2 = 3 only
     ham = build_h_tau_single_flip(tau, model)
     a_mix = math.sqrt(1 - delta ** 2) * (1 - gamma ** 2) ** 0.25
     x_coeffs = {}
     for coeff, factors in ham.terms:
         if len(factors) == 1 and np.allclose(factors[0][1], PAULI_X):
             x_coeffs[factors[0][0]] = -coeff.real
-    # neighbors of site 2: tau_1 != tau_3, likewise sites 1 and 3 themselves
-    assert x_coeffs[1] == pytest.approx(a_mix)
-    assert x_coeffs[3] == pytest.approx(a_mix)
+    # the neighbors i = 2, 4 of site 3 see tau_{i-1} != tau_{i+1}
+    assert x_coeffs[2] == pytest.approx(a_mix)
+    assert x_coeffs[4] == pytest.approx(a_mix)
     a_uni, _ = single_flip_coefficients(gamma, delta)
     assert x_coeffs[0] == pytest.approx(a_uni)
 
@@ -566,8 +560,7 @@ def reference_sector_split_evolve(rho0, model, t):
         tau_spins = np.where(bits == np.roll(bits, -1), 1, -1)
         key = tuple(tau_spins)
         if key not in cache:
-            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi,
-                                       n, model.rate_scale)
+            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi, n)
             cache[key] = np.linalg.eigh(ham.dense())
         w, v = cache[key]
         out[codes, tilde] = v @ (np.exp(-w * t) * (v.conj().T @ psi[codes, tilde]))

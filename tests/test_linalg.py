@@ -227,6 +227,12 @@ def _over_budget_cases():
         # the limit is checked before the random state is drawn
         "mps_dense_max_amplitudes (mps roundtrip)": lambda: selftest.mps_roundtrip(17, None, 0),
         "mps_dense_max_amplitudes (mps truncate)": lambda: selftest.mps_truncate(17, 2, 0),
+        # d^2 = 8281 and 2N = 8194 are the first dimensions above 8192
+        "full_spectrum_max_dim (measures maxent)": lambda: selftest.maxent_measures(91),
+        "full_spectrum_max_dim (maps)": lambda: selftest.positive_maps(91, 0),
+        "full_spectrum_max_dim (arealaw)": lambda: selftest.arealaw(4097, 1.0, 1.0, 8, 64),
+        "haar_max_amplitudes (lubkin)": lambda: selftest.lubkin(128, 129, 100, 0),
+        "haar_max_amplitudes (page)": lambda: selftest.page(128, 129, 100, 0),
     }
 
 
@@ -253,7 +259,7 @@ def test_every_limit_has_an_over_budget_case():
 
 
 def test_cheap_limits_pass_at_their_value():
-    from entlab import kinetic, mps, states
+    from entlab import kinetic, mps, selftest, states
     from entlab.kinetic import KineticModel
     from entlab.linalg import BUDGET
 
@@ -262,6 +268,8 @@ def test_cheap_limits_pass_at_their_value():
     assert kinetic.direct_evolve(rho7, KineticModel.two_flip(7, beta=0.4), 0.1).dims == (2,) * 7
     assert mps.ghz_mps(16).to_dense()[0].dim == 2 ** 16
     assert mps.aklt_mps(10).to_dense()[0].dim == 3 ** 10
+    assert BUDGET["haar_max_amplitudes"] == 128 * 128
+    assert selftest.lubkin(128, 128, 100, 0).values["samples"] == 100
 
 
 def test_one_crossover_is_dense_up_to_1024(monkeypatch):

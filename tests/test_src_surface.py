@@ -1,9 +1,13 @@
-"""Every function in ``src/entlab`` earns its place.
+"""Every function and every parameter in ``src/entlab`` earns its place.
 
 A top-level function or method stays only if another part of ``src/`` names
 it, ``entlab/__init__.py`` exports it, or ``README.md`` names it as API.
 Dunders and the ``@_criterion``-registered acceptance checks are exempt: the
 interpreter and :data:`entlab.selftest.REGISTRY` call them.
+
+A parameter with a default, of a function neither exported nor named in
+``README.md``, stays only if some call in ``src/`` passes it, by keyword or
+by position; :data:`KEPT_PARAMETERS` lists the exceptions with their reasons.
 """
 
 import ast
@@ -72,3 +76,98 @@ def test_an_unreferenced_function_is_reported(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("`documented` is public API.\n")
     assert unreached(tmp_path, readme) == ["a.py:orphan", "a.py:K.unused"]
+
+
+# defaulted parameters kept although no src/ call sets them, each with its reason
+KEPT_PARAMETERS = {
+    # the only way to reach the non-convergence path and its NumericalError
+    "linalg.py:lanczos_lowest(maxiter)",
+    # the tests' rank-deficient density-matrix fixtures
+    "states.py:random_density(rank)",
+    # the console entry point passes no argv; tests pass their own
+    "cli.py:main(argv)",
+}
+
+
+def _call_name(qualname: str) -> str:
+    """The name a call site uses: the class for ``__init__``, else the function."""
+    owner, _, name = qualname.rpartition(".")
+    return owner if name == "__init__" else name
+
+
+def _defaulted(fn, is_method: bool):
+    """(parameter, position a caller passes it at, or None if keyword-only)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if is_method and not any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list):
+        positional = positional[1:]  # self or cls
+    first = len(positional) - len(fn.args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(trees) -> dict[str, list]:
+    """Every call in the sources, by the name it calls (a bare or attribute name)."""
+    out: dict[str, list] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):  # None: a ** unpacking
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md") -> list[str]:
+    """Defaulted parameters of internal functions that no ``src/`` call passes.
+
+    A function is internal unless ``__init__.py`` exports its name or
+    ``README.md`` names it; a constructor's calls are those of its class.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    documented = set(re.findall(r"\w+", readme.read_text()))
+    calls = _calls(trees.values())
+    out = []
+    for module, tree in trees.items():
+        for qualname, fn in _functions(tree):
+            name = fn.name
+            if name in exported or name in documented or _is_criterion(fn):
+                continue
+            if name.startswith("__") and name.endswith("__") and name != "__init__":
+                continue
+            for param, position in _defaulted(fn, "." in qualname):
+                if not any(_passes(c, param, position) for c in calls.get(_call_name(qualname), [])):
+                    out.append(f"{module}:{qualname.replace('.__init__', '')}({param})")
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    assert sorted(unset_parameters()) == sorted(KEPT_PARAMETERS)
+
+
+def test_an_unset_parameter_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported(x=1):\n    return helper(2, 5, by_key=3) + K(4).twice()\n\n"
+        "def helper(a, by_position=0, by_key=0, *, never=0):\n    return a\n\n"
+        "def documented(knob=0):\n    pass\n\n"
+        "class K:\n    def __init__(self, x, y=0):\n        self.x = x\n\n"
+        "    def twice(self, times=2):\n        return self.x * times\n\n"
+        "    @staticmethod\n    def make(n=1):\n        return K(n)\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("`documented` is public API.\n")
+    assert unset_parameters(tmp_path, readme) == [
+        "a.py:helper(never)", "a.py:K(y)", "a.py:K.twice(times)", "a.py:K.make(n)"]

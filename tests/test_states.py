@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,10 +235,10 @@ def test_mutual_information():
     assert mutual_information(bell_state().projector()) == pytest.approx(2.0, abs=1e-9)
 
 
-def reference_random_separable(da, db, rng, nterms=None):
+def reference_random_separable(da, db, rng):
     """The per-term loop the block draw replaces: each factor from random_pure."""
     kmax = (da * db) ** 2
-    k = int(rng.integers(1, kmax + 1)) if nterms is None else min(nterms, kmax)
+    k = int(rng.integers(1, kmax + 1))
     weights = rng.dirichlet(np.ones(k))
     out = np.zeros((da * db, da * db), dtype=complex)
     for w in weights:
@@ -247,16 +249,27 @@ def reference_random_separable(da, db, rng, nterms=None):
     return DensityMatrix((da, db), out)
 
 
+def seeds_drawing(nterms, da, db, count=12):
+    """The first ``count`` seeds whose random_separable mixes ``nterms`` terms
+    (clamped to the Caratheodory bound; None: any number)."""
+    kmax = (da * db) ** 2
+    want = None if nterms is None else min(nterms, kmax)
+    seeds = (s for s in itertools.count()
+             if want in (None, np.random.default_rng(s).integers(1, kmax + 1)))
+    return list(itertools.islice(seeds, count))
+
+
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("nterms", [None, 1, 5, 100])
 def test_random_separable_matches_per_term_reference(da, db, nterms):
-    for seed in range(12):
+    for seed in seeds_drawing(nterms, da, db):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rho = random_separable(da, db, rng, nterms)
-        ref = reference_random_separable(da, db, ref_rng, nterms)
+        rho = random_separable(da, db, rng)
+        ref = reference_random_separable(da, db, ref_rng)
         assert rho.matrix.dtype == ref.matrix.dtype
         assert np.array_equal(rho.matrix.view(np.uint8), ref.matrix.view(np.uint8))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert nterms != 1 or np.linalg.matrix_rank(rho.matrix) == 1
 
 
 def test_validation_rejects_nan():
