@@ -16,7 +16,8 @@ the manifest's timestamp differs between identical runs.
 
 Exit codes: 0 all embedded assertions passed; 1 an assertion failed (the
 first failing check is named on stderr); 2 invalid configuration;
-3 resource limit exceeded; 4 numerical failure (a solver did not converge).
+3 resource limit exceeded (a ``BUDGET`` entry, or an allocation that failed);
+4 numerical failure (a solver did not converge).
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
         if args.sites < selftest.MIN_SITES[model]:
             parser.error(f"argument --sites: the {model} model needs at least "
                          f"{selftest.MIN_SITES[model]} sites, got {args.sites}")
+    if getattr(args, "model", None) == "two-flip" and args.delta != 0.0:
+        parser.error(f"argument --delta: the two-flip model has no delta parameter, "
+                     f"got {args.delta}")
     outdir = Path(args.out or os.environ.get("ENTLAB_OUTDIR", "."))
     command = args.command
     if command == "kinetic":
@@ -368,8 +372,8 @@ def main(argv=None) -> int:
             return 1
         print(json.dumps(doc, indent=2, default=float))
         return 0
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:  # MemoryError: the machine refused
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -571,13 +571,14 @@ def classical_evolve(p0: np.ndarray, model: KineticModel, t: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
-                        delta: float = 0.0, workers: int = 1, seed: int = 0) -> list[dict]:
+                        delta: float = 0.0, workers: int = 1, seed: int = 0) -> np.ndarray:
     """Lowest-k levels of sector Hamiltonians over a parameter grid.
 
     ``kind`` selects the family: "two-flip" scans the temperature angle phi,
-    "single-flip" scans gamma.  Returns one record per (sector, value, level)
-    with deterministic ordering; sector diagonalizations are independent
-    tasks and can run on a thread pool.
+    "single-flip" scans gamma.  Returns ``levels`` of shape
+    ``(len(sectors), len(values), k)`` in input order, each ``levels[s, v]``
+    ascending; sector diagonalizations are independent tasks and can run on
+    a thread pool.
     """
     if kind not in ("two-flip", "single-flip"):
         raise ValueError("kind must be 'two-flip' or 'single-flip'")
@@ -592,22 +593,8 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
         else:
             model = KineticModel.single_flip(n, gamma=value, delta=delta)
             ham = build_h_tau_single_flip(tau, model)
-        w = lowest_levels(ham.operator(), k=k, seed=seed)
-        return [
-            {
-                "model": kind,
-                "N": n,
-                "tau_code": tau.code,
-                "tau_pattern": tau.pattern,
-                "phi_or_gamma": value,
-                "level_index": idx,
-                "eigenvalue": float(val),
-            }
-            for idx, val in enumerate(w)
-        ]
+        return lowest_levels(ham.operator(), k=k, seed=seed)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(solve, tasks))
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r["tau_code"], r["phi_or_gamma"], r["level_index"]))
-    return rows
+        levels = list(pool.map(solve, tasks))
+    return np.array(levels).reshape(len(sectors), len(values), k)

@@ -429,24 +429,28 @@ def kinetic_spectra(model: str, n: int, patterns, phi_grid: int = 9,
         values = [i * (math.pi / 4) / (phi_grid - 1) for i in range(phi_grid)]
     else:
         values = [float(x) for x in gamma_grid.split(",")]
-    rows = kinetic.sector_spectra_scan(model, n, sectors, values, k=levels, delta=delta,
-                                       workers=workers, seed=seed)
+    spectra = kinetic.sector_spectra_scan(model, n, sectors, values, k=levels, delta=delta,
+                                          workers=workers, seed=seed)
     header = ["model", "N", "tau_code", "tau_pattern", "phi_or_gamma", "level_index",
               "eigenvalue"]
+    # ordered by (tau_code, phi_or_gamma, level_index), repeats in input order
+    rows = sorted(([model, n, tau.code, tau.pattern, value, idx, float(e)]
+                   for tau, by_value in zip(sectors, spectra)
+                   for value, by_level in zip(values, by_value)
+                   for idx, e in enumerate(by_level)),
+                  key=lambda row: (row[2], row[4], row[5]))
     out = {"rows": len(rows), "csv": "kinetic_spectra.csv"}
     failed = []
     if model == "two-flip" and "pair-up" in patterns and levels >= 2:
-        # rows run level by level within each phi: pair up levels 0 and 1
-        pair = [r["eigenvalue"] for r in rows
-                if r["tau_code"] == TauSector.adjacent_pair_up(n).code and r["level_index"] < 2]
-        worst = max(b - a for a, b in zip(pair[::2], pair[1::2]))
+        pair = spectra[patterns.index("pair-up")]
+        worst = float((pair[:, 1] - pair[:, 0]).max())
         out["pair_up_max_ground_split"] = worst
         # the exact double degeneracy of this sector is protected only when
         # the ring length is a multiple of four (it splits at N = 10, 14, ...)
         if n % 4 == 0:
             failed = _failed((worst <= tol["pair_sector_gap"], "pair-up-degeneracy",
                               f"ground split {worst:.1e}"))
-    return Outcome(out, failed, (header, [[r[c] for c in header] for r in rows]))
+    return Outcome(out, failed, (header, rows))
 
 
 def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
@@ -690,9 +694,9 @@ def check_kinetic_sector_structure(tol):
     n = 8
     failed = [f"{model}: {f}" for model, delta in (("single-flip", 0.3), ("two-flip", 0.0))
               for f in detailed_balance(model, n, 0.4, delta, tol).failed]
-    min_seen = min(float(chains.lowest_levels(
-                       kinetic.build_h_tau_two_flip(TauSector(code, n), phi, n).operator())[0])
-                   for phi in (0.0, math.pi / 8, math.pi / 4) for code in range(2 ** n))
+    min_seen = float(kinetic.sector_spectra_scan(
+        "two-flip", n, [TauSector(code, n) for code in range(2 ** n)],
+        (0.0, math.pi / 8, math.pi / 4), k=1).min())
     block_dev = 0.0
     for phi in (0.1, 0.4, math.pi / 4):
         z2z3 = kron(np.eye(2), PAULI_Z, PAULI_Z).real
@@ -730,18 +734,17 @@ def check_figure_degeneracies(tol):
     n = 16
     failed = kinetic_spectra("two-flip", n, ("pair-up",), phi_grid=9, levels=2, seed=3,
                              tol=tol).failed
-    ham = kinetic.build_h_tau_two_flip(TauSector.single_up(n), math.pi / 4, n)
-    w = chains.lowest_levels(ham.operator(), k=2, seed=4)
-    failed += _failed((w[1] - w[0] > tol["single_up_gap"], "single-up-gap",
-                       f"degenerate at phi=pi/4: gap {w[1] - w[0]:.1e}"))
+    w = kinetic.sector_spectra_scan("two-flip", n, [TauSector.single_up(n)], (math.pi / 4,),
+                                    k=2, seed=4)[0, 0]
+    gap = float(w[1] - w[0])
+    failed += _failed((gap > tol["single_up_gap"], "single-up-gap",
+                       f"degenerate at phi=pi/4: gap {gap:.1e}"))
     names = ("half-up", "single-up", "pair-up")
-    scan = kinetic_spectra("single-flip", n, names, gamma_grid="0.9,0.99,0.999", levels=2,
-                           seed=5, tol=tol)
+    spectra = kinetic.sector_spectra_scan("single-flip", n, [TAU_PATTERNS[p](n) for p in names],
+                                          (0.9, 0.99, 0.999), k=2, seed=5)
     gap_report = []
-    for name in names:
-        # rows run level by level within each gamma, in ascending gamma
-        w = [row[-1] for row in scan.table[1] if row[2] == TAU_PATTERNS[name](n).code]
-        gaps = [b - a for a, b in zip(w[::2], w[1::2])]
+    for name, w in zip(names, spectra):
+        gaps = [float(g) for g in w[:, 1] - w[:, 0]]  # ascending gamma
         failed += _failed((gaps[0] > gaps[1] > gaps[2] > 0, f"single-flip {name} gaps",
                            f"not closing monotonically: {gaps}"))
         gap_report.append(f"{name} {gaps[-1]:.1e}")

@@ -50,6 +50,23 @@ def test_resource_limit_exit_code(tmp_path, capsys):
         assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    from entlab import selftest
+
+    # numpy's _ArrayMemoryError is a MemoryError; a bare one has no message
+    for exc in (MemoryError("Unable to allocate 1.00 GiB for an array"), MemoryError()):
+        def refuse(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(selftest, "maxent_measures", refuse)
+        assert run(tmp_path, "measures", "maxent", "--d", "90") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert err == "resource limit: out of memory\n"
+    assert not (tmp_path / "measures_manifest.json").exists()
+
+
 def test_page_command(tmp_path, capsys):
     assert run(tmp_path, "--seed", "7", "page", "--m", "2", "--n", "2",
                "--samples", "2000") == 0
@@ -563,6 +580,9 @@ def test_mutualinfo_cut_outside_the_chain_is_rejected(tmp_path, capsys, kind, si
     (("kinetic", "spectra", "--model", "single-flip", "--sites", "2"), "--sites"),
     (("kinetic", "evolve", "--sites", "3"), "--sites"),
     (("kinetic", "evolve", "--t", "-1"), "--t"),
+    (("kinetic", "detailed-balance", "--model", "two-flip", "--sites", "6", "--delta", "0.5"),
+     "--delta"),
+    (("kinetic", "spectra", "--model", "two-flip", "--delta", "0.7"), "--delta"),
 ])
 def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

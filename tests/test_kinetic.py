@@ -6,6 +6,7 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from entlab import kinetic, selftest
+from entlab.chains import lowest_levels
 from entlab.kinetic import (
     KineticModel,
     TauSector,
@@ -490,30 +491,22 @@ def test_late_time_diagonal_is_parity_resolved_gibbs():
 
 def test_sector_spectra_scan_smoke():
     n = 8
-    rows = sector_spectra_scan(
+    levels = sector_spectra_scan(
         "two-flip", n,
         [TauSector.adjacent_pair_up(n), TauSector.single_up(n)],
         [0.2, math.pi / 4], k=2,
     )
-    assert len(rows) == 2 * 2 * 2
-    by_key = {(r["tau_code"], r["phi_or_gamma"], r["level_index"]): r["eigenvalue"]
-              for r in rows}
-    pair = TauSector.adjacent_pair_up(n).code
-    single = TauSector.single_up(n).code
-    for phi in (0.2, math.pi / 4):
-        assert abs(by_key[(pair, phi, 0)] - by_key[(pair, phi, 1)]) <= 1e-8
-    assert by_key[(single, math.pi / 4, 1)] - by_key[(single, math.pi / 4, 0)] > 1e-4
+    assert levels.shape == (2, 2, 2)
+    pair, single = levels
+    assert np.abs(pair[:, 1] - pair[:, 0]).max() <= 1e-8
+    assert single[1, 1] - single[1, 0] > 1e-4
 
 
 def test_sector_spectra_scan_single_flip_gap_closes():
     n = 8
     tau = TauSector.half_up(n)
-    rows = sector_spectra_scan("single-flip", n, [tau], [0.9, 0.99], k=2)
-    gaps = {}
-    for r in rows:
-        gaps.setdefault(r["phi_or_gamma"], {})[r["level_index"]] = r["eigenvalue"]
-    g1 = gaps[0.9][1] - gaps[0.9][0]
-    g2 = gaps[0.99][1] - gaps[0.99][0]
+    levels = sector_spectra_scan("single-flip", n, [tau], [0.9, 0.99], k=2)
+    g1, g2 = levels[0, :, 1] - levels[0, :, 0]
     assert g1 > g2 > 1e-8
 
 
@@ -522,7 +515,36 @@ def test_sector_scan_workers_match_serial():
     sectors = [TauSector.uniform_up(n), TauSector.single_up(n)]
     serial = sector_spectra_scan("two-flip", n, sectors, [0.1, 0.4], k=2, workers=1)
     threaded = sector_spectra_scan("two-flip", n, sectors, [0.1, 0.4], k=2, workers=2)
-    assert serial == threaded
+    assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("kind", ["two-flip", "single-flip"])
+def test_sector_scan_levels_equal_per_task_solves(kind):
+    n = 6
+    sectors = [TauSector.half_up(n), TauSector.uniform_down(n), TauSector.adjacent_pair_up(n)]
+    values, delta = ([0.3, 0.1], 0.0) if kind == "two-flip" else ([0.99, 0.5], 0.2)
+    levels = sector_spectra_scan(kind, n, sectors, values, k=3, delta=delta, seed=2)
+    assert levels.shape == (3, 2, 3)
+    for s, tau in enumerate(sectors):
+        for v, value in enumerate(values):
+            if kind == "two-flip":
+                ham = build_h_tau_two_flip(tau, value, n)
+            else:
+                model = KineticModel.single_flip(n, gamma=value, delta=delta)
+                ham = build_h_tau_single_flip(tau, model)
+            assert np.array_equal(levels[s, v], lowest_levels(ham.operator(), k=3, seed=2))
+
+
+def test_repeated_pair_up_pattern_reports_the_single_pattern_split():
+    # N = 10: the pair-up ground pair splits, so a split read across repeats shows 0
+    def split(patterns):
+        return selftest.kinetic_spectra("two-flip", 10, patterns, phi_grid=3,
+                                        levels=2).values["pair_up_max_ground_split"]
+
+    once = split(["pair-up"])
+    assert once > 1e-2
+    assert split(["pair-up", "pair-up"]) == once
+    assert split(["single-up", "pair-up"]) == once
 
 
 @pytest.mark.slow
