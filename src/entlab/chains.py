@@ -260,6 +260,8 @@ class EntropyScan:
 
 def _fit_scan(sizes, entropies, abscissa: str, nsites: int) -> EntropyScan:
     sizes = tuple(int(x) for x in sizes)
+    if len(sizes) < 2:
+        raise ValueError(f"a slope fit needs at least two block sizes, got {len(sizes)}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("block sizes must be strictly increasing")
     if abscissa == "log2n":

@@ -123,8 +123,8 @@ def cmd_mutualinfo(args, outdir: Path, tol) -> Outcome:
 
 def cmd_kinetic_spectra(args, outdir: Path, tol) -> Outcome:
     return selftest.kinetic_spectra(args.model, args.sites, args.tau_pattern, args.phi_grid,
-                                    args.gamma_grid, args.levels, args.delta, args.workers,
-                                    args.seed, tol)
+                                    args.gamma_grid, args.levels, args.delta, args.seed,
+                                    tol)
 
 
 def cmd_kinetic_evolve(args, outdir: Path, tol) -> Outcome:
@@ -181,12 +181,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _time(text: str) -> float:
-    """argparse type for an evolution time: a finite float >= 0."""
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"needs a time >= 0, got {text!r}")
-    return value
+def _nonnegative(what: str):
+    """argparse type for a finite float >= 0, ``what`` naming it in the message."""
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"needs {what} >= 0, got {text!r}")
+        return value
+    return parse
 
 
 def _gamma_grid(text: str) -> str:
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", choices=["periodic", "open"], default="periodic")
     p.add_argument("--abscissa", choices=["chord", "log2n"], default="chord")
     p.add_argument("--expect-slope", type=_finite_float, default=None)
-    p.add_argument("--slope-tol", type=_finite_float, default=0.03)
+    p.add_argument("--slope-tol", type=_nonnegative("a tolerance"), default=0.03)
     p.set_defaults(fn=cmd_arealaw)
 
     p = sub.add_parser("mutualinfo", help="mutual-information area laws")
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ksub.add_parser("evolve", help="sector-split evolution against the oracle")
     p.add_argument("--sites", type=_int_at_least(1, "sites"), default=6)
     p.add_argument("--beta", type=_finite_float, default=0.4)
-    p.add_argument("--t", type=_time, default=1.0)
+    p.add_argument("--t", type=_nonnegative("a time"), default=1.0)
     p.add_argument("--initial-states", type=_int_at_least(1, "initial states"), default=3)
     p.set_defaults(fn=cmd_kinetic_evolve)
 
@@ -342,16 +344,7 @@ def tolerance_table(entries) -> MappingProxyType:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "kinetic_command", None) in ("spectra", "evolve"):
-        model = getattr(args, "model", "two-flip")  # evolve runs the two-flip model
-        if args.sites < selftest.MIN_SITES[model]:
-            parser.error(f"argument --sites: the {model} model needs at least "
-                         f"{selftest.MIN_SITES[model]} sites, got {args.sites}")
-    if getattr(args, "model", None) == "two-flip" and args.delta != 0.0:
-        parser.error(f"argument --delta: the two-flip model has no delta parameter, "
-                     f"got {args.delta}")
+    args = build_parser().parse_args(argv)
     outdir = Path(args.out or os.environ.get("ENTLAB_OUTDIR", "."))
     command = args.command
     if command == "kinetic":

@@ -48,7 +48,6 @@ raw integer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,6 +366,8 @@ def build_h_tau_single_flip(tau: TauSector, model: KineticModel) -> SpinHamilton
     if model.flip != "single":
         raise ValueError("model is not a single-flip family")
     n, gamma, delta = model.nsites, model.gamma, model.delta
+    if n < 3:  # a term reaches sites i-1..i+1
+        raise ValueError(f"the single-flip model needs at least 3 sites, got {n}")
     t = tau.spins
     a_uni, b_uni = single_flip_coefficients(gamma, delta)
     a_mix = math.sqrt(max(1.0 - delta * delta, 0.0)) * (max(1.0 - gamma * gamma, 0.0)) ** 0.25
@@ -408,6 +409,8 @@ def build_h_tau_two_flip(tau: TauSector, phi: float, n: int) -> SpinHamiltonian:
         raise ValueError("phi must lie in [0, pi/4]")
     if tau.nsites != n:
         raise ValueError("tau pattern length does not match the chain")
+    if n < 4:  # a term reaches sites i-1..i+2
+        raise ValueError(f"the two-flip model needs at least 4 sites, got {n}")
     gamma = math.sin(2.0 * phi)
     cos2, sin2 = math.cos(phi) ** 2, math.sin(phi) ** 2
     sqrt_c2 = math.sqrt(max(math.cos(2.0 * phi), 0.0))
@@ -571,30 +574,27 @@ def classical_evolve(p0: np.ndarray, model: KineticModel, t: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
-                        delta: float = 0.0, workers: int = 1, seed: int = 0) -> np.ndarray:
+                        delta: float = 0.0, seed: int = 0) -> np.ndarray:
     """Lowest-k levels of sector Hamiltonians over a parameter grid.
 
-    ``kind`` selects the family: "two-flip" scans the temperature angle phi,
-    "single-flip" scans gamma.  Returns ``levels`` of shape
-    ``(len(sectors), len(values), k)`` in input order, each ``levels[s, v]``
-    ascending; sector diagonalizations are independent tasks and can run on
-    a thread pool.
+    ``kind`` selects the family: "two-flip" scans the temperature angle phi
+    (``delta`` must stay 0), "single-flip" scans gamma at ``delta``.  Solves
+    one sector and value after another, so a ring too short for the sector
+    builder raises before any solve; returns ``levels`` of shape
+    ``(len(sectors), len(values), k)`` in input order, each ascending.
     """
     if kind not in ("two-flip", "single-flip"):
         raise ValueError("kind must be 'two-flip' or 'single-flip'")
+    if kind == "two-flip" and delta != 0.0:
+        raise ValueError(f"the two-flip model has no delta parameter, got {delta}")
     check_budget("spectra_scan_max_sites", n, "spectra scan sites")
-
-    tasks = [(tau, float(v)) for tau in sectors for v in values]
-
-    def solve(task):
-        tau, value = task
-        if kind == "two-flip":
-            ham = build_h_tau_two_flip(tau, value, n)
-        else:
-            model = KineticModel.single_flip(n, gamma=value, delta=delta)
-            ham = build_h_tau_single_flip(tau, model)
-        return lowest_levels(ham.operator(), k=k, seed=seed)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        levels = list(pool.map(solve, tasks))
-    return np.array(levels).reshape(len(sectors), len(values), k)
+    levels = np.empty((len(sectors), len(values), k))
+    for s, tau in enumerate(sectors):
+        for v, value in enumerate(values):
+            if kind == "two-flip":
+                ham = build_h_tau_two_flip(tau, float(value), n)
+            else:
+                model = KineticModel.single_flip(n, gamma=float(value), delta=delta)
+                ham = build_h_tau_single_flip(tau, model)
+            levels[s, v] = lowest_levels(ham.operator(), k=k, seed=seed)
+    return levels

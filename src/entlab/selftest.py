@@ -415,22 +415,19 @@ TAU_PATTERNS = {
     "half-up": TauSector.half_up,
 }
 
-# shortest ring of each family: a term reaches sites i-1..i+2 (i-1..i+1 single-flip)
-MIN_SITES = {"two-flip": 4, "single-flip": 3}
-
-
 def kinetic_spectra(model: str, n: int, patterns, phi_grid: int = 9,
                     gamma_grid: str = "0.9,0.99,0.999", levels: int = 4, delta: float = 0.0,
-                    workers: int = 1, seed: int = 0, tol=TOLERANCES) -> Outcome:
+                    seed: int = 0, tol=TOLERANCES) -> Outcome:
     """Lowest levels of tau sectors over ``phi_grid`` points of [0, pi/4]
-    (two-flip) or ``gamma_grid`` (single-flip), and the pair-up splitting."""
+    (two-flip) or ``gamma_grid`` (single-flip), and the pair-up splitting;
+    the scan solves them in turn and rejects a short ring or two-flip delta."""
     sectors = [TAU_PATTERNS[p](n) for p in patterns]
     if model == "two-flip":
         values = [i * (math.pi / 4) / (phi_grid - 1) for i in range(phi_grid)]
     else:
         values = [float(x) for x in gamma_grid.split(",")]
     spectra = kinetic.sector_spectra_scan(model, n, sectors, values, k=levels, delta=delta,
-                                          workers=workers, seed=seed)
+                                          seed=seed)
     header = ["model", "N", "tau_code", "tau_pattern", "phi_or_gamma", "level_index",
               "eigenvalue"]
     # ordered by (tau_code, phi_or_gamma, level_index), repeats in input order
@@ -495,8 +492,11 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
 
 def detailed_balance(model: str, sites: int, beta: float, delta: float = 0.0,
                      tol=TOLERANCES) -> Outcome:
-    """Detailed balance of the thermal rates of the single- or two-flip model."""
+    """Detailed balance of the thermal rates of the single- or two-flip model
+    (``delta`` of the single-flip model only)."""
     if model == "two-flip":
+        if delta != 0.0:
+            raise ValueError(f"the two-flip model has no delta parameter, got {delta}")
         rates = KineticModel.two_flip(sites, beta=beta)
     else:
         rates = KineticModel.single_flip(sites, beta=beta, delta=delta)

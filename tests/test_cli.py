@@ -315,6 +315,16 @@ def test_arealaw_block_size_below_one_is_rejected(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_arealaw_single_block_size_is_rejected(tmp_path, capsys):
+    # one block size leaves no slope to fit, with or without an expectation
+    for extra in ((), ("--expect-slope", "0.1667")):
+        assert run(tmp_path, "arealaw", "--gamma", "1", "--h", "1", "--sites", "16",
+                   "--nmin", "2", "--nmax", "2", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration") and "two block sizes" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_levels_below_one_are_rejected(tmp_path, capsys):
     for value in ("0", "-1"):
         with pytest.raises(SystemExit) as exc:
@@ -408,10 +418,9 @@ def test_cli_import_loads_no_scipy_submodule(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
-def test_first_scipy_use_in_pool_threads_matches_serial(tmp_path):
-    # at 11 sites every sector solve builds a sparse matrix and runs Lanczos,
-    # so with two workers the first scipy.sparse and scipy.linalg lookups
-    # race between pool threads
+def test_kinetic_spectra_csv_body_does_not_depend_on_workers(tmp_path):
+    # the README promises that --workers leaves results unchanged; at 11
+    # sites every sector solve builds a sparse matrix and runs Lanczos
     bodies = []
     for workers in ("1", "2"):
         fresh_python("-m", "entlab.cli", "--out", str(tmp_path / workers), "--workers", workers,
@@ -575,20 +584,32 @@ def test_mutualinfo_cut_outside_the_chain_is_rejected(tmp_path, capsys, kind, si
     (("arealaw", "--gamma", "1", "--h", "1", "--expect-slope", "nan"), "--expect-slope"),
     (("arealaw", "--gamma=-inf", "--h", "1"), "--gamma"),
     (("witness", "--p", "nan"), "--p"),
-    (("kinetic", "spectra", "--sites", "2"), "--sites"),
-    (("kinetic", "spectra", "--sites", "3"), "--sites"),
-    (("kinetic", "spectra", "--model", "single-flip", "--sites", "2"), "--sites"),
-    (("kinetic", "evolve", "--sites", "3"), "--sites"),
     (("kinetic", "evolve", "--t", "-1"), "--t"),
-    (("kinetic", "detailed-balance", "--model", "two-flip", "--sites", "6", "--delta", "0.5"),
-     "--delta"),
-    (("kinetic", "spectra", "--model", "two-flip", "--delta", "0.7"), "--delta"),
+    (("arealaw", "--gamma", "1", "--h", "1", "--slope-tol", "-0.5"), "--slope-tol"),
 ])
 def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *argv)
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,rule", [
+    (("kinetic", "spectra", "--sites", "2"), "at least 4 sites"),
+    (("kinetic", "spectra", "--sites", "3"), "at least 4 sites"),
+    (("kinetic", "spectra", "--model", "single-flip", "--sites", "2"), "at least 3 sites"),
+    (("kinetic", "evolve", "--sites", "3"), "at least 4 sites"),
+    (("kinetic", "detailed-balance", "--model", "two-flip", "--sites", "6", "--delta", "0.5"),
+     "delta"),
+    (("kinetic", "spectra", "--model", "two-flip", "--delta", "0.7"), "delta"),
+])
+def test_short_rings_and_two_flip_delta_are_invalid_configurations(tmp_path, capsys, argv,
+                                                                    rule):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert rule in err
     assert not list(tmp_path.iterdir())
 
 

@@ -510,12 +510,26 @@ def test_sector_spectra_scan_single_flip_gap_closes():
     assert g1 > g2 > 1e-8
 
 
-def test_sector_scan_workers_match_serial():
+def test_two_flip_delta_is_rejected():
     n = 6
-    sectors = [TauSector.uniform_up(n), TauSector.single_up(n)]
-    serial = sector_spectra_scan("two-flip", n, sectors, [0.1, 0.4], k=2, workers=1)
-    threaded = sector_spectra_scan("two-flip", n, sectors, [0.1, 0.4], k=2, workers=2)
-    assert np.array_equal(serial, threaded)
+    with pytest.raises(ValueError, match="delta"):
+        sector_spectra_scan("two-flip", n, [TauSector.half_up(n)], [0.3], k=2, delta=0.5)
+    with pytest.raises(ValueError, match="delta"):
+        selftest.detailed_balance("two-flip", n, 0.4, delta=0.5)
+
+
+@pytest.mark.parametrize("kind,minimum", [("two-flip", 4), ("single-flip", 3)])
+def test_sector_scan_rejects_rings_too_short_for_the_terms(kind, minimum):
+    n = minimum - 1
+    value = 0.3 if kind == "two-flip" else 0.9
+    with pytest.raises(ValueError, match=f"at least {minimum} sites"):
+        sector_spectra_scan(kind, n, [TauSector.half_up(n)], [value], k=1)
+    sector_spectra_scan(kind, minimum, [TauSector.half_up(minimum)], [value], k=1)
+
+
+def test_sector_evolution_rejects_a_three_site_ring():
+    with pytest.raises(ValueError, match="at least 4 sites"):
+        sector_eigensystems(KineticModel.two_flip(3, beta=0.4))
 
 
 @pytest.mark.parametrize("kind", ["two-flip", "single-flip"])
