@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
+from .freefermion import check_anisotropy, xy_entropy_free_fermion
 from .linalg import (BUDGET, PAULI_X, PAULI_Y, PAULI_Z, NumericalError, check_budget,
                      lanczos_lowest)
 from .states import (
@@ -163,8 +164,7 @@ def build_xy(gamma: float, h: float, n: int, bc: str = "periodic") -> SpinHamilt
     H = -(1/2) sum [ (1+gamma)/2 XX + (1-gamma)/2 YY ] - (h/2) sum Z.
     gamma = 1 is the transverse-field Ising chain, gamma = 0 the XX chain.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("anisotropy must lie in [0, 1]")
+    check_anisotropy(gamma)
     ham = SpinHamiltonian(n, 2, [])
     for i, j in _bonds(n, bc):
         ham.add(-0.5 * (1 + gamma) / 2, [(i, PAULI_X), (j, PAULI_X)])
@@ -293,8 +293,6 @@ def free_fermion_entropy_scan(gamma: float, h: float, n: int, block_sizes,
                               bc: str = "periodic",
                               abscissa: str = "chord") -> EntropyScan:
     """Block-entropy scan of the XY ground state via the fermion covariance."""
-    from .freefermion import xy_entropy_free_fermion
-
     entropies = xy_entropy_free_fermion(gamma, h, n, list(block_sizes), bc)
     return _fit_scan(block_sizes, entropies, abscissa, n)
 
@@ -321,10 +319,13 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
 
     Returns (I, boundary-energy bound, nearest-neighbor bound) for the
     bipartition A = sites [0, cut); a term crosses the cut when its first
-    site lies in A and its last in B.
+    site lies in A and its last in B.  Both bounds are derived for
+    ``beta >= 0``; a negative ``beta`` raises ``ValueError``.
     """
     n = ham.nsites
     check_cut(cut, n)
+    if beta < 0:
+        raise ValueError(f"the boundary bounds need beta >= 0, got beta {beta}")
     rho = thermal_state(ham, beta)
     rho_a = partial_trace(rho, range(cut))
     rho_b = partial_trace(rho, range(cut, n))
@@ -354,11 +355,12 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
 SPINS = (1.0, -1.0)  # the site values of a classical ring, in digit order
 
 
-def _ring_probabilities(coupling, beta: float, n: int) -> np.ndarray:
+def _ring_probabilities(coupling: float, beta: float, n: int) -> np.ndarray:
+    """Gibbs weights of the Ising ring ``E = -J sum s_i s_{i+1}``, ``J = coupling``."""
     d = len(SPINS)
     codes = np.arange(d ** n)
     digits = (codes[:, None] // d ** np.arange(n)[None, :]) % d
-    table = np.array([[coupling(a, b) for b in SPINS] for a in SPINS], dtype=float)
+    table = np.array([[-coupling * a * b for b in SPINS] for a in SPINS], dtype=float)
     energy = np.zeros(len(codes))
     for i in range(n):
         energy += table[digits[:, i], digits[:, (i + 1) % n]]
@@ -379,8 +381,8 @@ def _marginal_entropy_bits(p: np.ndarray, digits: np.ndarray, sites, d: int) -> 
     return entropy_from_probabilities(_marginal(p, digits, sites, d)[1], 2)
 
 
-def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int):
-    """Shannon mutual information of a classical Gibbs ring across a cut.
+def classical_gibbs_mutual_info(coupling: float, beta: float, n: int, cut: int):
+    """Shannon mutual information of the classical Ising ring across a cut.
 
     Returns (I bits, area bound |dA| log2 d, boundary identity violation)
     where the last entry is |I(A:B) - I(dA:dB)|, which the nearest-neighbor
@@ -404,8 +406,8 @@ def classical_gibbs_mutual_info(coupling, beta: float, n: int, cut: int):
     return float(info), float(bound), abs(float(info) - float(info_boundary))
 
 
-def markov_violation(coupling, beta: float, n: int, site_c1: int, site_c2: int) -> float:
-    """Max violation of p(A,B,C) = p(A,C) p(B,C) / p(C) on a Gibbs ring.
+def markov_violation(coupling: float, beta: float, n: int, site_c1: int, site_c2: int) -> float:
+    """Max violation of p(A,B,C) = p(A,C) p(B,C) / p(C) on the Ising ring.
 
     C = {site_c1, site_c2} separates the ring into two arcs A and B.
     """

@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import __version__, haar, selftest
+from . import __version__, haar, kinetic, selftest
 from .linalg import NumericalError, ResourceLimitError
 from .selftest import Outcome
 
@@ -291,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = pk.add_subparsers(dest="kinetic_command", required=True)
 
     p = ksub.add_parser("spectra", help="sector spectra scan")
-    p.add_argument("--model", choices=["two-flip", "single-flip"], default="two-flip")
+    p.add_argument("--model", choices=kinetic.FAMILIES, default="two-flip")
     p.add_argument("--sites", type=_int_at_least(1, "sites"), default=16)
-    p.add_argument("--tau-pattern", nargs="+", choices=sorted(selftest.TAU_PATTERNS),
+    p.add_argument("--tau-pattern", nargs="+", choices=sorted(kinetic.TAU_PATTERNS),
                    default=["pair-up"])
     p.add_argument("--phi-grid", type=_int_at_least(2, "points"), default=9,
                    help="number of phi values on [0, pi/4], at least 2")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kinetic_evolve)
 
     p = ksub.add_parser("detailed-balance", help="rate/Boltzmann symmetry check")
-    p.add_argument("--model", choices=["two-flip", "single-flip"], default="single-flip")
+    p.add_argument("--model", choices=kinetic.FAMILIES, default="single-flip")
     p.add_argument("--sites", type=_int_at_least(1, "sites"), default=8)
     p.add_argument("--beta", type=_finite_float, default=0.4)
     p.add_argument("--delta", type=_finite_float, default=0.0)

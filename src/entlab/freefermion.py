@@ -32,12 +32,19 @@ from .linalg import check_budget
 from .states import binary_entropy
 
 
+def check_anisotropy(gamma: float) -> None:
+    """The XY anisotropy lies in [0, 1], the range the dense oracle checks."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("anisotropy must lie in [0, 1]")
+
+
 def majorana_quadratic(gamma: float, h: float, n: int, boundary_sign: float) -> np.ndarray:
     """Antisymmetric K of the XY chain; boundary terms scaled by boundary_sign.
 
     ``boundary_sign = 0`` gives the open chain, ``-1``/``+1`` the periodic
     chain in the even/odd spin-parity sector.
     """
+    check_anisotropy(gamma)
     k = np.zeros((2 * n, 2 * n))
 
     def add(p, q, c):

@@ -5,8 +5,8 @@ Classical side
 Single-spin-flip (Glauber) and two-spin-flip stochastic dynamics with heat
 bath rates, in units of the rate prefactor (which only sets the unit of time)
 
-    single:  w_i = (1 + delta s_{i-1} s_{i+1}) (1 - (gamma/2) s_i (s_{i-1} + s_{i+1}))
-    pair:    w_i = 1 - (gamma/2) (s_{i-1} s_i + s_{i+1} s_{i+2})
+    single-flip:  w_i = (1 + delta s_{i-1} s_{i+1}) (1 - (gamma/2) s_i (s_{i-1} + s_{i+1}))
+    two-flip:     w_i = 1 - (gamma/2) (s_{i-1} s_i + s_{i+1} s_{i+2})
 
 which satisfy detailed balance for the ferromagnetic Ising ring
 ``H = -J sum s_i s_{i+1}`` exactly when ``gamma = tanh(2 beta J)``.  The
@@ -18,14 +18,14 @@ Quantum side
 ------------
 Promoting the flip dynamics to a density-matrix master equation with jump
 operators ``F_i sqrt(w_i)`` (``F_i = X_i`` for single flips,
-``X_i X_{i+1}`` for pair flips) leaves a macroscopic set of doubled-chain
+``X_i X_{i+1}`` for two flips) leaves a macroscopic set of doubled-chain
 operators conserved: the products ``Z_i Z_{i+1} Ztilde_i Ztilde_{i+1}`` for
-the pair model and the per-site ``Z_i Ztilde_i`` for the single-flip model.
-The evolution therefore splits into 2^N sectors labelled by tau patterns,
-each governed by its own N-spin Hermitian Hamiltonian built by
+the two-flip model and the per-site ``Z_i Ztilde_i`` for the single-flip
+model.  The evolution therefore splits into 2^N sectors labelled by tau
+patterns, each governed by its own N-spin Hermitian Hamiltonian built by
 :func:`build_h_tau_single_flip` / :func:`build_h_tau_two_flip`;
-:func:`sector_split_evolve` runs that decomposition for the pair model and
-:func:`direct_evolve` integrates the full vectorized generator as an
+:func:`sector_split_evolve` runs that decomposition for the two-flip model
+and :func:`direct_evolve` integrates the full vectorized generator as an
 independent oracle.  Both depend on the model through one operand each, the
 sector eigensystems (:func:`sector_eigensystems`) and the vectorized
 generator, which a caller evolving many states builds once and passes in.
@@ -36,6 +36,10 @@ Sector Hamiltonians use the temperature angle ``phi`` with
 
 Conventions
 -----------
+The model vocabulary is defined here once: the family names :data:`FAMILIES`,
+the tau-pattern names :data:`TAU_PATTERNS` and the thermal map
+:meth:`KineticModel.thermal`; :class:`KineticModel` alone checks a model.
+
 Spin configurations are encoded in the computational-basis order of the
 dense operators: site i (0-based) of an N-site ring is bit N-1-i of a
 configuration code, so site 0 is the most significant bit, and a set bit
@@ -59,27 +63,45 @@ from .linalg import lanczos_lowest  # noqa: F401  # a global here for the benchm
 from .states import DensityMatrix
 
 
+FAMILIES = ("single-flip", "two-flip")
+
+# tau-pattern name -> its code on an n-site ring (bit b set: tau_{b+1} = +1)
+TAU_PATTERNS = {
+    "uniform-up": lambda n: 2 ** n - 1,
+    "uniform-down": lambda n: 0,
+    "single-up": lambda n: 1 << (n // 2),
+    "pair-up": lambda n: (1 << (n // 2)) | (1 << ((n // 2 + 1) % n)),
+    "half-up": lambda n: 2 ** (n // 2) - 1,
+}
+
+
 @dataclass(frozen=True)
 class KineticModel:
-    """Spin-rate family of a kinetic Ising ring."""
+    """Spin-rate family ``flip``, one of :data:`FAMILIES`, of a kinetic Ising ring."""
 
-    flip: str            # "single" or "pair"
+    flip: str
     nsites: int
     gamma: float         # tanh(2 beta J) under the thermal parametrization
     delta: float = 0.0   # second kinetic parameter (single flip only)
     coupling: float = 1.0
 
     def __post_init__(self):
-        if self.flip not in ("single", "pair"):
-            raise ValueError("flip must be 'single' or 'pair'")
+        if self.flip not in FAMILIES:
+            raise ValueError(f"flip must be one of {', '.join(FAMILIES)}, got {self.flip!r}")
+        if self.flip == "two-flip" and self.delta != 0.0:
+            raise ValueError(f"the two-flip model has no delta parameter, got {self.delta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if not -1.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [-1, 1]")
         if self.coupling <= 0:
             raise ValueError("coupling must be positive")
-        if self.flip == "pair" and self.delta != 0.0:
-            raise ValueError("the pair-flip family has no delta parameter")
+
+    @classmethod
+    def thermal(cls, flip: str, n: int, beta: float, delta: float = 0.0,
+                coupling: float = 1.0) -> "KineticModel":
+        """The model at inverse temperature ``beta``: gamma = tanh(2 beta J)."""
+        return cls(flip, n, math.tanh(2.0 * beta * coupling), delta, coupling)
 
     @property
     def beta(self) -> float:
@@ -93,25 +115,13 @@ class KineticModel:
         """Temperature angle in [0, pi/4]; gamma = sin(2 phi)."""
         return 0.5 * math.asin(min(self.gamma, 1.0))
 
-    @staticmethod
-    def single_flip(n: int, gamma: float | None = None, beta: float | None = None,
-                    delta: float = 0.0, coupling: float = 1.0) -> "KineticModel":
-        if (gamma is None) == (beta is None):
-            raise ValueError("give exactly one of gamma or beta")
-        if gamma is None:
-            gamma = math.tanh(2.0 * beta * coupling)
-        return KineticModel("single", n, gamma, delta, coupling)
-
-    @staticmethod
-    def two_flip(n: int, beta: float) -> "KineticModel":
-        return KineticModel("pair", n, math.tanh(2.0 * beta), 0.0)
-
 
 @dataclass(frozen=True)
 class TauSector:
     """Configuration of the conserved tau spins, tau in {+-1}^N.
 
     Integer code convention: bit b (LSB = site 1) set means tau_{b+1} = +1.
+    :meth:`named` builds the sector of a :data:`TAU_PATTERNS` name.
     """
 
     code: int
@@ -133,24 +143,8 @@ class TauSector:
         return TauSector(code, len(spins))
 
     @staticmethod
-    def uniform_up(n: int) -> "TauSector":
-        return TauSector(2 ** n - 1, n)
-
-    @staticmethod
-    def uniform_down(n: int) -> "TauSector":
-        return TauSector(0, n)
-
-    @staticmethod
-    def single_up(n: int) -> "TauSector":
-        return TauSector(1 << (n // 2), n)
-
-    @staticmethod
-    def adjacent_pair_up(n: int) -> "TauSector":
-        return TauSector((1 << (n // 2)) | (1 << ((n // 2 + 1) % n)), n)
-
-    @staticmethod
-    def half_up(n: int) -> "TauSector":
-        return TauSector(2 ** (n // 2) - 1, n)
+    def named(name: str, n: int) -> "TauSector":
+        return TauSector(TAU_PATTERNS[name](n), n)
 
     @property
     def pattern(self) -> str:
@@ -192,9 +186,8 @@ def glauber_rate(spins, i: int, model: KineticModel) -> float | np.ndarray:
 
     ``spins[j]`` holds site j: a single spin gives the rate of one
     configuration, a row of spins (``config_spins(n).T``) the rate of each.
+    :func:`_rate_table` picks this rate or :func:`two_flip_rate` by family.
     """
-    if model.flip != "single":
-        raise ValueError("model is not a single-flip family")
     s = np.asarray(spins)
     n = model.nsites
     left, right = s[(i - 1) % n], s[(i + 1) % n]
@@ -202,9 +195,7 @@ def glauber_rate(spins, i: int, model: KineticModel) -> float | np.ndarray:
 
 
 def two_flip_rate(spins, i: int, model: KineticModel) -> float | np.ndarray:
-    """Pair-flip rate for flipping sites (i, i+1); ``spins`` as in :func:`glauber_rate`."""
-    if model.flip != "pair":
-        raise ValueError("model is not a pair-flip family")
+    """Two-flip rate for flipping sites (i, i+1); ``spins`` as in :func:`glauber_rate`."""
     s = np.asarray(spins)
     n = model.nsites
     return 1.0 - 0.5 * model.gamma * (s[(i - 1) % n] * s[i] + s[(i + 1) % n] * s[(i + 2) % n])
@@ -214,7 +205,7 @@ def _rate_table(model: KineticModel) -> tuple[np.ndarray, list[int]]:
     """Rates for every (configuration, move) pair plus the move flip masks."""
     n = model.nsites
     s = config_spins(n).T
-    rate, width = (glauber_rate, 1) if model.flip == "single" else (two_flip_rate, 2)
+    rate, width = (glauber_rate, 1) if model.flip == "single-flip" else (two_flip_rate, 2)
     rates = np.array([rate(s, i, model) for i in range(n)])
     return rates, [_site_mask(n, *range(i, i + width)) for i in range(n)]
 
@@ -333,7 +324,7 @@ def build_h_beta_single_flip(model: KineticModel) -> SpinHamiltonian:
 
     The dense matrix coincides with :func:`symmetrize` of the same model.
     """
-    if model.flip != "single":
+    if model.flip != "single-flip":
         raise ValueError("model is not a single-flip family")
     n, gamma, delta = model.nsites, model.gamma, model.delta
     a, b = single_flip_coefficients(gamma, delta)
@@ -363,7 +354,7 @@ def build_h_tau_single_flip(tau: TauSector, model: KineticModel) -> SpinHamilton
     sqrt(1-delta^2) (1-gamma^2)^(1/4) with no three-site term otherwise; for
     uniform tau the Hamiltonian reduces to :func:`build_h_beta_single_flip`.
     """
-    if model.flip != "single":
+    if model.flip != "single-flip":
         raise ValueError("model is not a single-flip family")
     n, gamma, delta = model.nsites, model.gamma, model.delta
     if n < 3:  # a term reaches sites i-1..i+1
@@ -393,7 +384,7 @@ def build_h_tau_single_flip(tau: TauSector, model: KineticModel) -> SpinHamilton
 
 
 def build_h_tau_two_flip(tau: TauSector, phi: float, n: int) -> SpinHamiltonian:
-    """Sector Hamiltonian of the quantum pair-flip model for one tau pattern.
+    """Sector Hamiltonian of the quantum two-flip model for one tau pattern.
 
     Per site, with gamma = sin(2 phi) and f(x) = (1+x)/2:
 
@@ -498,15 +489,15 @@ def _evolved_state(n: int, matrix: np.ndarray) -> DensityMatrix:
 
 
 def _check_sector_model(model: KineticModel) -> None:
-    if model.flip != "pair":
-        raise ValueError("sector evolution is defined for the pair model")
+    if model.flip != "two-flip":
+        raise ValueError("sector evolution is defined for the two-flip model")
     if model.gamma >= 1.0:
         raise ValueError("needs a finite-temperature parametrization")
     check_budget("sector_evolve_max_sites", model.nsites, "sector evolution sites")
 
 
 def sector_eigensystems(model: KineticModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Dense eigensystems ``(w, V)`` of the tau sectors of the pair model.
+    """Dense eigensystems ``(w, V)`` of the tau sectors of the two-flip model.
 
     Entry ``mu`` belongs to the doubled-basis offset ``mu`` (the pairs
     ``(sigma, sigma ^ mu)``), whose conserved products are
@@ -577,16 +568,13 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
                         delta: float = 0.0, seed: int = 0) -> np.ndarray:
     """Lowest-k levels of sector Hamiltonians over a parameter grid.
 
-    ``kind`` selects the family: "two-flip" scans the temperature angle phi
-    (``delta`` must stay 0), "single-flip" scans gamma at ``delta``.  Solves
-    one sector and value after another, so a ring too short for the sector
-    builder raises before any solve; returns ``levels`` of shape
+    ``kind`` is one of :data:`FAMILIES`: "two-flip" scans the temperature
+    angle phi, "single-flip" scans gamma at ``delta``.  Solves one sector and
+    value after another, so a ring too short for the sector builder raises
+    before any solve; returns ``levels`` of shape
     ``(len(sectors), len(values), k)`` in input order, each ascending.
     """
-    if kind not in ("two-flip", "single-flip"):
-        raise ValueError("kind must be 'two-flip' or 'single-flip'")
-    if kind == "two-flip" and delta != 0.0:
-        raise ValueError(f"the two-flip model has no delta parameter, got {delta}")
+    KineticModel(kind, n, 0.0, delta)
     check_budget("spectra_scan_max_sites", n, "spectra scan sites")
     levels = np.empty((len(sectors), len(values), k))
     for s, tau in enumerate(sectors):
@@ -594,7 +582,6 @@ def sector_spectra_scan(kind: str, n: int, sectors, values, k: int = 4,
             if kind == "two-flip":
                 ham = build_h_tau_two_flip(tau, float(value), n)
             else:
-                model = KineticModel.single_flip(n, gamma=float(value), delta=delta)
-                ham = build_h_tau_single_flip(tau, model)
+                ham = build_h_tau_single_flip(tau, KineticModel(kind, n, float(value), delta))
             levels[s, v] = lowest_levels(ham.operator(), k=k, seed=seed)
     return levels

@@ -330,8 +330,7 @@ def classical_superposition(n: int, beta: float, coupling: float,
     amp = psi.amplitudes
     phase = amp[np.argmax(np.abs(amp))] / target[np.argmax(np.abs(amp))]
     deviation = float(np.abs(amp - phase * target).max())
-    model = KineticModel.single_flip(n, gamma=math.tanh(2 * beta * coupling),
-                                     delta=0.0, coupling=coupling)
+    model = KineticModel.thermal("single-flip", n, beta, coupling=coupling)
     w, v = kinetic.symmetrized_eigh(model)
     overlap = float(abs(np.vdot(v[:, 0], target)))
     values = {"sites": n, "beta": beta, "coupling": coupling, "amplitude_deviation": deviation,
@@ -389,12 +388,8 @@ def mutualinfo_classical(sites: int, beta: float, cut: int, coupling: float,
     """Classical Ising-ring mutual information, area bound, boundary identity,
     and the Markov identity behind them with sites 0 and ``cut`` as separator."""
     slack = tol["mutual_info_slack"]
-
-    def ising(a, b):
-        return -coupling * a * b
-
-    info, bound, gap = chains.classical_gibbs_mutual_info(ising, beta, sites, cut)
-    markov = chains.markov_violation(ising, beta, sites, 0, cut)
+    info, bound, gap = chains.classical_gibbs_mutual_info(coupling, beta, sites, cut)
+    markov = chains.markov_violation(coupling, beta, sites, 0, cut)
     return Outcome(
         {"I_bits": info, "area_bound_bits": bound, "boundary_identity_gap": gap,
          "csv": "mutualinfo.csv", "markov_violation": markov},
@@ -407,21 +402,13 @@ def mutualinfo_classical(sites: int, beta: float, cut: int, coupling: float,
          [("ising-ring", sites, coupling, beta, cut, info, bound, gap)]))
 
 
-TAU_PATTERNS = {
-    "uniform-up": TauSector.uniform_up,
-    "uniform-down": TauSector.uniform_down,
-    "single-up": TauSector.single_up,
-    "pair-up": TauSector.adjacent_pair_up,
-    "half-up": TauSector.half_up,
-}
-
 def kinetic_spectra(model: str, n: int, patterns, phi_grid: int = 9,
                     gamma_grid: str = "0.9,0.99,0.999", levels: int = 4, delta: float = 0.0,
                     seed: int = 0, tol=TOLERANCES) -> Outcome:
     """Lowest levels of tau sectors over ``phi_grid`` points of [0, pi/4]
     (two-flip) or ``gamma_grid`` (single-flip), and the pair-up splitting;
     the scan solves them in turn and rejects a short ring or two-flip delta."""
-    sectors = [TAU_PATTERNS[p](n) for p in patterns]
+    sectors = [TauSector.named(p, n) for p in patterns]
     if model == "two-flip":
         values = [i * (math.pi / 4) / (phi_grid - 1) for i in range(phi_grid)]
     else:
@@ -461,7 +448,7 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
     only; they are built once per call and shared by every (state, time)."""
     # direct_evolve's limit, checked before the sector eigensystems are built
     check_budget("direct_evolve_max_sites", n, "oracle comparison sites")
-    model = KineticModel.two_flip(n, beta=beta)
+    model = KineticModel.thermal("two-flip", n, beta)
     rng = np.random.default_rng(seed)
     starts = [states.random_density((2,) * n, rng) for _ in range(initial_states)]
     eigensystems = kinetic.sector_eigensystems(model)
@@ -494,12 +481,7 @@ def detailed_balance(model: str, sites: int, beta: float, delta: float = 0.0,
                      tol=TOLERANCES) -> Outcome:
     """Detailed balance of the thermal rates of the single- or two-flip model
     (``delta`` of the single-flip model only)."""
-    if model == "two-flip":
-        if delta != 0.0:
-            raise ValueError(f"the two-flip model has no delta parameter, got {delta}")
-        rates = KineticModel.two_flip(sites, beta=beta)
-    else:
-        rates = KineticModel.single_flip(sites, beta=beta, delta=delta)
+    rates = KineticModel.thermal(model, sites, beta, delta)
     ok, worst = kinetic.check_detailed_balance(rates, tol["detailed_balance"])
     return Outcome({"model": model, "sites": sites, "beta": beta, "passes": ok,
                     "max_violation": worst},
@@ -705,11 +687,11 @@ def check_kinetic_sector_structure(tol):
                  - math.sqrt(math.cos(2 * phi)) * x1x2)
         got = chains.lowest_levels(block)[0]
         block_dev = max(block_dev, abs(got - kinetic.mixed_block_min_eigenvalue(phi)))
-    model = KineticModel.single_flip(n, gamma=0.55, delta=0.35)
+    model = KineticModel("single-flip", n, 0.55, 0.35)
     reference = kinetic.build_h_beta_single_flip(model).dense()
     uniform_dev = max(
         np.abs(kinetic.build_h_tau_single_flip(tau, model).dense() - reference).max()
-        for tau in (TauSector.uniform_down(n), TauSector.uniform_up(n)))
+        for tau in (TauSector.named("uniform-down", n), TauSector.named("uniform-up", n)))
     failed += _failed(
         (min_seen >= -tol["sector_positivity"], "sector-positivity",
          f"negative sector energy {min_seen:.1e}"),
@@ -734,13 +716,14 @@ def check_figure_degeneracies(tol):
     n = 16
     failed = kinetic_spectra("two-flip", n, ("pair-up",), phi_grid=9, levels=2, seed=3,
                              tol=tol).failed
-    w = kinetic.sector_spectra_scan("two-flip", n, [TauSector.single_up(n)], (math.pi / 4,),
-                                    k=2, seed=4)[0, 0]
+    w = kinetic.sector_spectra_scan("two-flip", n, [TauSector.named("single-up", n)],
+                                    (math.pi / 4,), k=2, seed=4)[0, 0]
     gap = float(w[1] - w[0])
     failed += _failed((gap > tol["single_up_gap"], "single-up-gap",
                        f"degenerate at phi=pi/4: gap {gap:.1e}"))
     names = ("half-up", "single-up", "pair-up")
-    spectra = kinetic.sector_spectra_scan("single-flip", n, [TAU_PATTERNS[p](n) for p in names],
+    spectra = kinetic.sector_spectra_scan("single-flip", n,
+                                          [TauSector.named(p, n) for p in names],
                                           (0.9, 0.99, 0.999), k=2, seed=5)
     gap_report = []
     for name, w in zip(names, spectra):

@@ -266,6 +266,16 @@ def test_mutual_info_area_check():
     assert boundary0 == pytest.approx(0.0, abs=1e-8)
 
 
+def test_negative_beta_is_rejected_by_the_quantum_bounds_only():
+    # the boundary bounds are derived for beta >= 0; the classical area bound
+    # follows from the Markov property at either sign
+    with pytest.raises(ValueError, match="beta >= 0"):
+        mutual_info_area_check(build_xy(1.0, 1.0, 4), -1.0, 2)
+    info, bound, gap = classical_gibbs_mutual_info(1.0, -0.5, 10, 4)
+    assert info <= bound + 1e-12 and gap <= 1e-9
+    assert markov_violation(1.0, -0.5, 10, 0, 4) <= 1e-12
+
+
 def test_mutual_info_area_check_values_are_unchanged():
     # the row of mutualinfo.csv for `mutualinfo quantum --sites 10 --beta 1.0 --cut 5`
     assert mutual_info_area_check(build_xy(1.0, 1.0, 10), 1.0, 5) == \
@@ -305,20 +315,18 @@ def test_mutual_info_product_hamiltonian():
 
 
 def test_classical_gibbs_mutual_info():
-    coupling = lambda a, b: -a * b
-    info, bound, boundary_gap = classical_gibbs_mutual_info(coupling, 0.5, 12, 6)
+    info, bound, boundary_gap = classical_gibbs_mutual_info(1.0, 0.5, 12, 6)
     assert info <= bound + 1e-12
     assert bound == pytest.approx(2.0)
     assert boundary_gap <= 1e-9
-    info0, _, gap0 = classical_gibbs_mutual_info(coupling, 0.0, 10, 5)
+    info0, _, gap0 = classical_gibbs_mutual_info(1.0, 0.0, 10, 5)
     assert info0 == pytest.approx(0.0, abs=1e-12)
     assert gap0 <= 1e-12
 
 
 def test_markov_factorization():
-    coupling = lambda a, b: -a * b
-    assert markov_violation(coupling, 0.7, 10, 0, 5) <= 1e-12
-    assert markov_violation(coupling, 1.3, 8, 2, 6) <= 1e-12
+    assert markov_violation(1.0, 0.7, 10, 0, 5) <= 1e-12
+    assert markov_violation(1.0, 1.3, 8, 2, 6) <= 1e-12
 
 
 def test_spin1_algebra():
@@ -390,7 +398,7 @@ def assert_matches_reference(ham, dense=True):
 
 
 def _single_flip_model(n):
-    return KineticModel.single_flip(n, gamma=0.7, delta=0.2)
+    return KineticModel("single-flip", n, 0.7, 0.2)
 
 
 def _open_aklt(n):
@@ -407,9 +415,9 @@ ORACLE_BUILDERS = {
     "aklt-open": lambda: _open_aklt(5),
     "mg": lambda: build_mg(8),
     "cluster": lambda: build_cluster(-1, 7),
-    "tau-two-flip-6": lambda: build_h_tau_two_flip(TauSector.adjacent_pair_up(6), 0.4, 6),
-    "tau-two-flip-13": lambda: build_h_tau_two_flip(TauSector.adjacent_pair_up(13), 0.3, 13),
-    "tau-single-flip": lambda: build_h_tau_single_flip(TauSector.single_up(6),
+    "tau-two-flip-6": lambda: build_h_tau_two_flip(TauSector.named("pair-up", 6), 0.4, 6),
+    "tau-two-flip-13": lambda: build_h_tau_two_flip(TauSector.named("pair-up", 13), 0.3, 13),
+    "tau-single-flip": lambda: build_h_tau_single_flip(TauSector.named("single-up", 6),
                                                        _single_flip_model(6)),
     "beta-single-flip": lambda: build_h_beta_single_flip(_single_flip_model(6)),
 }

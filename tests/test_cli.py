@@ -418,16 +418,24 @@ def test_cli_import_loads_no_scipy_submodule(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
-def test_kinetic_spectra_csv_body_does_not_depend_on_workers(tmp_path):
-    # the README promises that --workers leaves results unchanged; at 11
-    # sites every sector solve builds a sparse matrix and runs Lanczos
-    bodies = []
-    for workers in ("1", "2"):
-        fresh_python("-m", "entlab.cli", "--out", str(tmp_path / workers), "--workers", workers,
-                     "kinetic", "spectra", "--model", "two-flip", "--sites", "11")
-        bodies.append((tmp_path / workers / "kinetic_spectra.csv").read_bytes())
+def test_outputs_do_not_depend_on_workers(tmp_path, capsys):
+    # the README promises that --workers leaves results unchanged: page runs
+    # its Haar blocks on that many threads, and kinetic spectra (at 11 sites
+    # every sector solve builds a sparse matrix and runs Lanczos) ignores it
+    bodies, pages = [], []
+    for workers in ("1", "3"):
+        out = tmp_path / workers
+        assert main(["--out", str(out), "--workers", workers, "kinetic", "spectra",
+                     "--model", "two-flip", "--sites", "11"]) == 0
+        bodies.append((out / "kinetic_spectra.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["--out", str(out), "--workers", workers, "--seed", "7", "page",
+                     "--m", "2", "--n", "3", "--samples", "3000"]) == 0
+        pages.append(capsys.readouterr().out)
     assert bodies[0] == bodies[1]
     assert len(bodies[0].splitlines()) == 1 + 9 * 4
+    assert pages[0] == pages[1]
+    assert json.loads(pages[0])["samples"] == 3000
 
 
 def readme_commands():
@@ -605,6 +613,24 @@ def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys
     (("kinetic", "spectra", "--model", "two-flip", "--delta", "0.7"), "delta"),
 ])
 def test_short_rings_and_two_flip_delta_are_invalid_configurations(tmp_path, capsys, argv,
+                                                                    rule):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert rule in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,rule", [
+    # the boundary bounds are derived for beta >= 0
+    (("mutualinfo", "quantum", "--sites", "4", "--cut", "2", "--beta", "-1"), "beta >= 0"),
+    # criterion 9 checks the free fermions against the dense route on [0, 1] only
+    (("arealaw", "--gamma", "1.5", "--h", "1", "--sites", "16", "--nmin", "2", "--nmax", "4"),
+     "anisotropy must lie in [0, 1]"),
+    (("mutualinfo", "quantum", "--sites", "4", "--cut", "2", "--gamma", "1.5"),
+     "anisotropy must lie in [0, 1]"),
+])
+def test_inputs_outside_the_derivations_are_invalid_configurations(tmp_path, capsys, argv,
                                                                     rule):
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err

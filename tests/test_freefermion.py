@@ -17,6 +17,14 @@ def test_quadratic_form_is_antisymmetric():
         assert np.abs(k + k.T).max() == 0.0
 
 
+def test_anisotropy_outside_the_unit_interval_is_rejected():
+    # the range build_xy accepts and the dense oracle checks
+    for gamma in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"anisotropy must lie in \[0, 1\]"):
+            majorana_quadratic(gamma, 1.0, 8, -1.0)
+    majorana_quadratic(1.0, 1.0, 8, -1.0)
+
+
 def test_covariance_properties():
     k = majorana_quadratic(1.0, 0.6, 8, -1.0)
     energy, cov, parity = ground_covariance(k)

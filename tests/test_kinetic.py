@@ -40,17 +40,24 @@ def trace_distance(a, b):
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        KineticModel.single_flip(4, gamma=1.5)
-    with pytest.raises(ValueError):
-        KineticModel.single_flip(4)
-    m2 = KineticModel.two_flip(6, beta=0.3)
+        KineticModel("single-flip", 4, 1.5)
+    with pytest.raises(ValueError, match="flip must be one of single-flip, two-flip"):
+        KineticModel("pair", 4, 0.5)
+    assert kinetic.FAMILIES == ("single-flip", "two-flip")
+    m1 = KineticModel.thermal("single-flip", 6, 0.3, 0.2, coupling=0.7)
+    assert (m1.gamma, m1.delta, m1.coupling) == (math.tanh(2.0 * 0.3 * 0.7), 0.2, 0.7)
+    m2 = KineticModel.thermal("two-flip", 6, 0.3)
+    assert m2.gamma == math.tanh(2.0 * 0.3)
     assert m2.phi == pytest.approx(math.atan(math.tanh(0.3)))
     assert math.sin(2 * m2.phi) == pytest.approx(m2.gamma)
 
 
 def test_model_rejects_pair_with_delta():
-    with pytest.raises(ValueError):
-        KineticModel("pair", 6, 0.4, delta=0.2)
+    # the family rule comes before the range checks, with the message the CLI prints
+    for gamma, delta in ((0.4, 0.2), (1.5, 0.5), (0.4, 1.5)):
+        with pytest.raises(ValueError,
+                           match=f"^the two-flip model has no delta parameter, got {delta}$"):
+            KineticModel("two-flip", 6, gamma, delta)
 
 
 def test_tau_sector_code_range():
@@ -62,12 +69,14 @@ def test_tau_sector_code_range():
 
 def test_tau_sector_codes():
     n = 16
-    assert TauSector.uniform_up(n).code == 2 ** n - 1
-    assert TauSector.uniform_down(n).code == 0
-    assert TauSector.single_up(n).code == 2 ** 8
-    assert TauSector.adjacent_pair_up(n).code == 2 ** 8 + 2 ** 9
-    assert TauSector.half_up(n).code == 2 ** 8 - 1
-    t = TauSector.half_up(n)
+    assert sorted(kinetic.TAU_PATTERNS) == ["half-up", "pair-up", "single-up", "uniform-down",
+                                            "uniform-up"]
+    assert TauSector.named("uniform-up", n).code == 2 ** n - 1
+    assert TauSector.named("uniform-down", n).code == 0
+    assert TauSector.named("single-up", n).code == 2 ** 8
+    assert TauSector.named("pair-up", n).code == 2 ** 8 + 2 ** 9
+    assert TauSector.named("half-up", n).code == 2 ** 8 - 1
+    t = TauSector.named("half-up", n)
     assert t.spins[:8].tolist() == [1] * 8
     assert t.spins[8:].tolist() == [-1] * 8
     assert TauSector.from_spins(t.spins).code == t.code
@@ -75,13 +84,13 @@ def test_tau_sector_codes():
 
 def test_glauber_rate_values():
     n = 8
-    flat = KineticModel.single_flip(n, gamma=0.0, delta=0.0)
+    flat = KineticModel("single-flip", n, 0.0, 0.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         s = rng.choice([-1, 1], size=n)
         assert glauber_rate(s, int(rng.integers(n)), flat) == pytest.approx(1.0)
 
-    model = KineticModel.single_flip(n, gamma=0.6, delta=0.25)
+    model = KineticModel("single-flip", n, 0.6, 0.25)
     up = np.ones(n)
     assert glauber_rate(up, 3, model) == pytest.approx((1 + 0.25) * (1 - 0.6))
     wall = np.array([1, 1, 1, 1, -1, -1, -1, -1])
@@ -91,12 +100,12 @@ def test_glauber_rate_values():
 
 def test_two_flip_rate_values():
     n = 8
-    hot = KineticModel.two_flip(n, beta=0.0)
+    hot = KineticModel.thermal("two-flip", n, 0.0)
     rng = np.random.default_rng(1)
     for _ in range(20):
         s = rng.choice([-1, 1], size=n)
         assert two_flip_rate(s, int(rng.integers(n)), hot) == pytest.approx(1.0)
-    model = KineticModel.two_flip(n, beta=0.4)
+    model = KineticModel.thermal("two-flip", n, 0.4)
     gamma = model.gamma
     assert two_flip_rate(np.ones(n), 2, model) == pytest.approx(1 - gamma)
     s = np.array([1, 1, 1, -1, 1, 1, 1, 1])  # bond pairs cancel around i=4
@@ -105,7 +114,7 @@ def test_two_flip_rate_values():
 
 
 def test_generator_columns_and_uniform_gap():
-    model = KineticModel.single_flip(3, gamma=0.0, delta=0.0)
+    model = KineticModel("single-flip", 3, 0.0, 0.0)
     gen = build_generator(model)
     assert np.abs(np.asarray(gen.sum(axis=0))).max() <= 1e-12
     w = np.linalg.eigvalsh(gen.toarray())
@@ -115,8 +124,8 @@ def test_generator_columns_and_uniform_gap():
 
 def test_generator_stationary_gibbs():
     for model in (
-        KineticModel.single_flip(8, beta=0.45, delta=0.3),
-        KineticModel.two_flip(8, beta=0.45),
+        KineticModel.thermal("single-flip", 8, 0.45, 0.3),
+        KineticModel.thermal("two-flip", 8, 0.45),
     ):
         gen = build_generator(model)
         energies = ising_energies(8, model.coupling)
@@ -127,8 +136,8 @@ def test_generator_stationary_gibbs():
 
 def test_detailed_balance():
     for model in (
-        KineticModel.single_flip(8, gamma=0.7, delta=0.4),
-        KineticModel.two_flip(8, beta=0.35),
+        KineticModel("single-flip", 8, 0.7, 0.4),
+        KineticModel.thermal("two-flip", 8, 0.35),
     ):
         ok, worst = check_detailed_balance(model)
         assert ok
@@ -136,7 +145,7 @@ def test_detailed_balance():
 
 
 def test_detailed_balance_negative_control():
-    model = KineticModel.single_flip(5, gamma=0.5, delta=0.0)
+    model = KineticModel("single-flip", 5, 0.5, 0.0)
     gen = build_generator(model).tolil()
     gen[1, 0] *= 1.01  # corrupt one rate
     worst = detailed_balance_violation(gen.tocsr(), ising_energies(5), model.beta)
@@ -165,10 +174,10 @@ def detailed_balance_reference(gen, energies, beta):
 def test_detailed_balance_matches_the_entrywise_reference():
     cases = []
     for n in (5, 8, 12):
-        for model in (KineticModel.single_flip(n, beta=0.4, delta=0.3),
-                      KineticModel.two_flip(n, beta=0.4)):
+        for model in (KineticModel.thermal("single-flip", n, 0.4, 0.3),
+                      KineticModel.thermal("two-flip", n, 0.4)):
             cases.append((build_generator(model), ising_energies(n), model.beta))
-    model = KineticModel.single_flip(5, gamma=0.5)
+    model = KineticModel("single-flip", 5, 0.5)
     corrupted = build_generator(model).tolil()
     corrupted[1, 0] *= 1.01
     cases.append((corrupted.tocsr(), ising_energies(5), model.beta))
@@ -183,7 +192,7 @@ def test_detailed_balance_matches_the_entrywise_reference():
 
 def test_symmetrize_structure():
     for delta in (0.0, 0.2):
-        model = KineticModel.single_flip(6, gamma=0.6, delta=delta)
+        model = KineticModel("single-flip", 6, 0.6, delta)
         h = symmetrize(model)
         w = np.linalg.eigvalsh(h)
         assert abs(w[0]) <= 1e-10
@@ -195,7 +204,7 @@ def test_symmetrize_structure():
 
 def test_symmetrize_infinite_temperature():
     n = 5
-    model = KineticModel.single_flip(n, gamma=0.0, delta=0.0)
+    model = KineticModel("single-flip", n, 0.0, 0.0)
     h = symmetrize(model)
     target = np.zeros_like(h)
     for i in range(n):
@@ -211,7 +220,7 @@ def test_symmetrize_infinite_temperature():
 
 def test_h_beta_matches_symmetrize():
     for delta, gamma in ((0.0, 0.5), (0.5, 0.6), (-0.3, 0.8)):
-        model = KineticModel.single_flip(8, gamma=gamma, delta=delta)
+        model = KineticModel("single-flip", 8, gamma, delta)
         dense = build_h_beta_single_flip(model).dense()
         assert np.abs(dense - symmetrize(model)).max() <= 1e-9
 
@@ -231,9 +240,9 @@ def test_single_flip_coefficient_limits():
 
 def test_h_tau_uniform_sectors_reduce():
     n = 8
-    model = KineticModel.single_flip(n, gamma=0.55, delta=0.35)
+    model = KineticModel("single-flip", n, 0.55, 0.35)
     reference = build_h_beta_single_flip(model).dense()
-    for tau in (TauSector.uniform_up(n), TauSector.uniform_down(n)):
+    for tau in (TauSector.named("uniform-up", n), TauSector.named("uniform-down", n)):
         dense = build_h_tau_single_flip(tau, model).dense()
         assert np.abs(dense - reference).max() <= 1e-12
 
@@ -242,8 +251,8 @@ def test_h_tau_single_flip_mixed_branch():
     # a mixed neighborhood replaces (A, B) by (sqrt(1-d^2)(1-g^2)^(1/4), 0)
     n = 6
     gamma, delta = 0.6, 0.4
-    model = KineticModel.single_flip(n, gamma=gamma, delta=delta)
-    tau = TauSector.single_up(n)  # tau up at site n // 2 = 3 only
+    model = KineticModel("single-flip", n, gamma, delta)
+    tau = TauSector.named("single-up", n)  # tau up at site n // 2 = 3 only
     ham = build_h_tau_single_flip(tau, model)
     a_mix = math.sqrt(1 - delta ** 2) * (1 - gamma ** 2) ** 0.25
     x_coeffs = {}
@@ -276,7 +285,7 @@ def test_lanczos_finds_degenerate_zero_pair_at_phi_zero():
     from entlab.linalg import lanczos_lowest
 
     n = 8
-    ham = build_h_tau_two_flip(TauSector.single_up(n), 0.0, n)
+    ham = build_h_tau_two_flip(TauSector.named("single-up", n), 0.0, n)
     w = lanczos_lowest(ham.sparse(), k=2, seed=0)
     assert np.allclose(w, [0.0, 0.0], atol=1e-9)
 
@@ -294,7 +303,7 @@ def test_h_tau_two_flip_mixed_gap():
     # mixed tau patterns have strictly positive ground energy for phi > 0
     n = 6
     for phi in (math.pi / 16, math.pi / 8, math.pi / 4):
-        for tau in (TauSector.single_up(n), TauSector.half_up(n)):
+        for tau in (TauSector.named("single-up", n), TauSector.named("half-up", n)):
             w0 = np.linalg.eigvalsh(build_h_tau_two_flip(tau, phi, n).dense())[0]
             assert w0 > 1e-6
 
@@ -306,11 +315,11 @@ def test_h_tau_two_flip_uniform_zero_modes():
     n = 6
     for phi in (0.1, 0.5, math.pi / 4):
         w_up = np.linalg.eigvalsh(
-            build_h_tau_two_flip(TauSector.uniform_up(n), phi, n).dense()
+            build_h_tau_two_flip(TauSector.named("uniform-up", n), phi, n).dense()
         )
         assert abs(w_up[0]) <= 1e-10 and abs(w_up[1]) <= 1e-10
         w_down = np.linalg.eigvalsh(
-            build_h_tau_two_flip(TauSector.uniform_down(n), phi, n).dense()
+            build_h_tau_two_flip(TauSector.named("uniform-down", n), phi, n).dense()
         )
         assert w_down[0] > 1e-3
 
@@ -319,7 +328,7 @@ def test_uniform_down_two_flip_printed_form():
     # all tau spins down: f terms vanish, diagonal is the site count
     n = 6
     phi = 0.3
-    ham = build_h_tau_two_flip(TauSector.uniform_down(n), phi, n)
+    ham = build_h_tau_two_flip(TauSector.named("uniform-down", n), phi, n)
     dense = ham.dense()
     assert np.allclose(np.diag(dense), n)
 
@@ -338,7 +347,7 @@ def test_mixed_block_min_eigenvalue_formula():
 
 
 def test_conserved_quantities_commute():
-    model = KineticModel.two_flip(5, beta=0.4)
+    model = KineticModel.thermal("two-flip", 5, 0.4)
     gen = vectorized_generator(model)
     coo = gen.tocoo()
     s = config_spins(5)
@@ -368,22 +377,22 @@ def kron_vectorized_generator(model):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_vectorized_generator_equals_the_kron_build(n):
-    for model in (KineticModel.single_flip(n, gamma=0.7, delta=0.3),
-                  KineticModel.two_flip(n, beta=0.4)):
+    for model in (KineticModel("single-flip", n, 0.7, 0.3),
+                  KineticModel.thermal("two-flip", n, 0.4)):
         got, want = vectorized_generator(model), kron_vectorized_generator(model)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), (model.flip, attr)
 
 
 def test_build_generator_matches_the_rates_entrywise():
-    for model in (KineticModel.single_flip(5, gamma=0.7, delta=0.3),
-                  KineticModel.two_flip(5, beta=0.4)):
+    for model in (KineticModel("single-flip", 5, 0.7, 0.3),
+                  KineticModel.thermal("two-flip", 5, 0.4)):
         n, gen = model.nsites, build_generator(model).toarray()
         spins = config_spins(n)
         want = np.zeros((2 ** n, 2 ** n))
         for code in range(2 ** n):
             for i in range(n):
-                if model.flip == "single":
+                if model.flip == "single-flip":
                     rate, flipped = glauber_rate(spins[code], i, model), [i]
                 else:
                     rate, flipped = two_flip_rate(spins[code], i, model), [i, (i + 1) % n]
@@ -415,7 +424,7 @@ def test_single_flip_sectors_match_master_equation():
     # every sector block of the transformed single-flip generator must equal
     # minus the branch-form sector Hamiltonian (mu spins are the tau labels)
     n = 5
-    model = KineticModel.single_flip(n, gamma=0.62, delta=0.37)
+    model = KineticModel("single-flip", n, 0.62, 0.37)
     worst = 0.0
     for mu_spins, block in _transformed_sector_blocks(model):
         ham = build_h_tau_single_flip(TauSector.from_spins(mu_spins), model)
@@ -426,7 +435,7 @@ def test_single_flip_sectors_match_master_equation():
 def test_two_flip_sectors_match_master_equation():
     # pair model: tau labels are neighboring products of the conserved mu spins
     n = 5
-    model = KineticModel.two_flip(n, beta=0.37)
+    model = KineticModel.thermal("two-flip", n, 0.37)
     worst = 0.0
     for mu_spins, block in _transformed_sector_blocks(model):
         tau = mu_spins * np.roll(mu_spins, -1)
@@ -436,7 +445,7 @@ def test_two_flip_sectors_match_master_equation():
 
 
 def test_sector_evolution_t0_identity():
-    model = KineticModel.two_flip(4, beta=0.3)
+    model = KineticModel.thermal("two-flip", 4, 0.3)
     rho0 = random_density((2,) * 4, np.random.default_rng(3))
     out = sector_split_evolve(rho0, model, 0.0)
     assert trace_distance(out.matrix, rho0.matrix) <= 1e-10
@@ -444,7 +453,7 @@ def test_sector_evolution_t0_identity():
 
 def test_sector_evolution_diagonal_is_classical():
     n = 6
-    model = KineticModel.two_flip(n, beta=0.4)
+    model = KineticModel.thermal("two-flip", n, 0.4)
     rng = np.random.default_rng(4)
     p0 = rng.dirichlet(np.ones(2 ** n))
     rho0 = DensityMatrix((2,) * n, np.diag(p0))
@@ -458,7 +467,7 @@ def test_sector_evolution_diagonal_is_classical():
 
 def test_sector_evolution_matches_direct_integration():
     n = 5
-    model = KineticModel.two_flip(n, beta=0.4)
+    model = KineticModel.thermal("two-flip", n, 0.4)
     rng = np.random.default_rng(5)
     for _ in range(3):
         rho0 = random_density((2,) * n, rng)
@@ -473,7 +482,7 @@ def test_late_time_diagonal_is_parity_resolved_gibbs():
     # each parity sector and the diagonal relaxes to the sector-wise Gibbs
     # mixture weighted by the initial parity populations
     n = 4
-    model = KineticModel.two_flip(n, beta=0.5)
+    model = KineticModel.thermal("two-flip", n, 0.5)
     rho0 = random_density((2,) * n, np.random.default_rng(6))
     late = sector_split_evolve(rho0, model, 120.0)
     assert np.trace(late.matrix).real == pytest.approx(1.0, abs=1e-9)
@@ -493,7 +502,7 @@ def test_sector_spectra_scan_smoke():
     n = 8
     levels = sector_spectra_scan(
         "two-flip", n,
-        [TauSector.adjacent_pair_up(n), TauSector.single_up(n)],
+        [TauSector.named("pair-up", n), TauSector.named("single-up", n)],
         [0.2, math.pi / 4], k=2,
     )
     assert levels.shape == (2, 2, 2)
@@ -504,7 +513,7 @@ def test_sector_spectra_scan_smoke():
 
 def test_sector_spectra_scan_single_flip_gap_closes():
     n = 8
-    tau = TauSector.half_up(n)
+    tau = TauSector.named("half-up", n)
     levels = sector_spectra_scan("single-flip", n, [tau], [0.9, 0.99], k=2)
     g1, g2 = levels[0, :, 1] - levels[0, :, 0]
     assert g1 > g2 > 1e-8
@@ -513,7 +522,8 @@ def test_sector_spectra_scan_single_flip_gap_closes():
 def test_two_flip_delta_is_rejected():
     n = 6
     with pytest.raises(ValueError, match="delta"):
-        sector_spectra_scan("two-flip", n, [TauSector.half_up(n)], [0.3], k=2, delta=0.5)
+        sector_spectra_scan("two-flip", n, [TauSector.named("half-up", n)], [0.3], k=2,
+                            delta=0.5)
     with pytest.raises(ValueError, match="delta"):
         selftest.detailed_balance("two-flip", n, 0.4, delta=0.5)
 
@@ -523,19 +533,19 @@ def test_sector_scan_rejects_rings_too_short_for_the_terms(kind, minimum):
     n = minimum - 1
     value = 0.3 if kind == "two-flip" else 0.9
     with pytest.raises(ValueError, match=f"at least {minimum} sites"):
-        sector_spectra_scan(kind, n, [TauSector.half_up(n)], [value], k=1)
-    sector_spectra_scan(kind, minimum, [TauSector.half_up(minimum)], [value], k=1)
+        sector_spectra_scan(kind, n, [TauSector.named("half-up", n)], [value], k=1)
+    sector_spectra_scan(kind, minimum, [TauSector.named("half-up", minimum)], [value], k=1)
 
 
 def test_sector_evolution_rejects_a_three_site_ring():
     with pytest.raises(ValueError, match="at least 4 sites"):
-        sector_eigensystems(KineticModel.two_flip(3, beta=0.4))
+        sector_eigensystems(KineticModel.thermal("two-flip", 3, 0.4))
 
 
 @pytest.mark.parametrize("kind", ["two-flip", "single-flip"])
 def test_sector_scan_levels_equal_per_task_solves(kind):
     n = 6
-    sectors = [TauSector.half_up(n), TauSector.uniform_down(n), TauSector.adjacent_pair_up(n)]
+    sectors = [TauSector.named(p, n) for p in ("half-up", "uniform-down", "pair-up")]
     values, delta = ([0.3, 0.1], 0.0) if kind == "two-flip" else ([0.99, 0.5], 0.2)
     levels = sector_spectra_scan(kind, n, sectors, values, k=3, delta=delta, seed=2)
     assert levels.shape == (3, 2, 3)
@@ -544,7 +554,7 @@ def test_sector_scan_levels_equal_per_task_solves(kind):
             if kind == "two-flip":
                 ham = build_h_tau_two_flip(tau, value, n)
             else:
-                model = KineticModel.single_flip(n, gamma=value, delta=delta)
+                model = KineticModel("single-flip", n, value, delta)
                 ham = build_h_tau_single_flip(tau, model)
             assert np.array_equal(levels[s, v], lowest_levels(ham.operator(), k=3, seed=2))
 
@@ -566,7 +576,7 @@ def test_two_flip_uniform_first_excited_merges_at_zero_temperature():
     n = 14
     from entlab.linalg import lanczos_lowest
 
-    tau = TauSector.uniform_up(n)
+    tau = TauSector.named("uniform-up", n)
     spectra = {}
     for phi in (0.55, math.pi / 4):
         ham = build_h_tau_two_flip(tau, phi, n)
@@ -612,7 +622,7 @@ def reference_direct_evolve(rho0, model, t):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_shared_operand_evolution_matches_per_call_reference(n):
-    model = KineticModel.two_flip(n, beta=0.4)
+    model = KineticModel.thermal("two-flip", n, 0.4)
     rng = np.random.default_rng(n)
     eigensystems = sector_eigensystems(model)
     generator = vectorized_generator(model)
@@ -649,7 +659,7 @@ def test_symmetrize_builds_the_generator_once(monkeypatch):
     built = []
     original = kinetic.build_generator
     monkeypatch.setattr(kinetic, "build_generator", lambda m: built.append(m) or original(m))
-    model = KineticModel.single_flip(6, beta=0.4)
+    model = KineticModel.thermal("single-flip", 6, 0.4)
     symmetrize(model)
     assert built == [model]
 

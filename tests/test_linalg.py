@@ -211,17 +211,17 @@ def _over_budget_cases():
         "full_spectrum_max_dim (classical-superposition)": lambda: selftest.classical_superposition(
             14, 0.6, 1.0),
         "classical_ring_max_sites": lambda: chains.classical_gibbs_mutual_info(
-            lambda a, b: -a * b, 0.5, 21, 10),
+            1.0, 0.5, 21, 10),
         "generator_max_sites": lambda: kinetic.build_generator(
-            KineticModel.single_flip(21, beta=0.4)),
+            KineticModel.thermal("single-flip", 21, 0.4)),
         "direct_evolve_max_sites": lambda: kinetic.direct_evolve(
-            rho8, KineticModel.two_flip(8, beta=0.4), 0.1),
+            rho8, KineticModel.thermal("two-flip", 8, 0.4), 0.1),
         "direct_evolve_max_sites (kinetic evolve)": lambda: selftest.sector_evolution(
             8, 0.4, 0.1, 1, seed=0),
         "sector_evolve_max_sites": lambda: kinetic.sector_eigensystems(
-            KineticModel.two_flip(11, beta=0.4)),
+            KineticModel.thermal("two-flip", 11, 0.4)),
         "spectra_scan_max_sites": lambda: kinetic.sector_spectra_scan(
-            "two-flip", 18, [kinetic.TauSector.adjacent_pair_up(18)], [0.1]),
+            "two-flip", 18, [kinetic.TauSector.named("pair-up", 18)], [0.1]),
         "mps_dense_max_amplitudes": lambda: mps.ghz_mps(17).to_dense(),
         "mps_dense_max_amplitudes (spin 1)": lambda: mps.aklt_mps(11).to_dense(),
         # the limit is checked before the random state is drawn
@@ -265,7 +265,8 @@ def test_cheap_limits_pass_at_their_value():
 
     assert BUDGET["direct_evolve_max_sites"] == 7
     rho7 = states.random_density((2,) * 7, np.random.default_rng(0))
-    assert kinetic.direct_evolve(rho7, KineticModel.two_flip(7, beta=0.4), 0.1).dims == (2,) * 7
+    model7 = KineticModel.thermal("two-flip", 7, 0.4)
+    assert kinetic.direct_evolve(rho7, model7, 0.1).dims == (2,) * 7
     assert mps.ghz_mps(16).to_dense()[0].dim == 2 ** 16
     assert mps.aklt_mps(10).to_dense()[0].dim == 3 ** 10
     assert BUDGET["haar_max_amplitudes"] == 128 * 128
@@ -285,7 +286,7 @@ def test_one_crossover_is_dense_up_to_1024(monkeypatch):
     selftest.named_state("mg", 10)
     selftest.named_state("aklt", 7)
     for n in (10, 11):
-        kinetic.sector_spectra_scan("two-flip", n, [kinetic.TauSector.adjacent_pair_up(n)],
+        kinetic.sector_spectra_scan("two-flip", n, [kinetic.TauSector.named("pair-up", n)],
                                     [0.1], k=2)
     for n in (10, 11):
         chains.ground_state(chains.build_xy(1.0, 1.0, n))
