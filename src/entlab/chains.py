@@ -305,6 +305,7 @@ def thermal_state(ham: SpinHamiltonian, beta: float) -> DensityMatrix:
     boltz = np.exp(-beta * (w - w.min()))
     boltz /= boltz.sum()
     rho = (v * boltz) @ v.conj().T
+    del v  # not held while the state is validated
     return DensityMatrix((ham.local_dim,) * ham.nsites, rho)
 
 
@@ -332,9 +333,13 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
     info = (von_neumann_entropy(rho_a, "e") + von_neumann_entropy(rho_b, "e")
             - von_neumann_entropy(rho, "e"))
     crossing = [(c, f) for c, f in ham.terms if f and f[0][0] < cut <= f[-1][0]]
-    h_boundary = SpinHamiltonian(n, ham.local_dim, crossing).dense()
+    # the same complex product as h_boundary @ (kron - rho), holding three dim^2
+    # arrays: the difference is formed in place, rho released, h made complex once
     product = np.kron(rho_a.matrix, rho_b.matrix)
-    boundary_bound = beta * float(np.trace(h_boundary @ (product - rho.matrix)).real)
+    product -= rho.matrix
+    del rho
+    h_boundary = SpinHamiltonian(n, ham.local_dim, crossing).dense().astype(complex)
+    boundary_bound = beta * float(np.trace(h_boundary @ product).real)
     # loose form: 2 beta |h| per boundary site, |h| the largest crossing-term norm
     norms = []
     boundary_sites = set()

@@ -100,7 +100,9 @@ class KineticModel:
     @classmethod
     def thermal(cls, flip: str, n: int, beta: float, delta: float = 0.0,
                 coupling: float = 1.0) -> "KineticModel":
-        """The model at inverse temperature ``beta``: gamma = tanh(2 beta J)."""
+        """The model at inverse temperature ``beta >= 0``: gamma = tanh(2 beta J)."""
+        if not beta >= 0:
+            raise ValueError(f"beta must be non-negative, got beta {beta}")
         return cls(flip, n, math.tanh(2.0 * beta * coupling), delta, coupling)
 
     @property
@@ -133,8 +135,8 @@ class TauSector:
 
     @property
     def spins(self) -> np.ndarray:
-        bits = (self.code >> np.arange(self.nsites)) & 1
-        return (2 * bits - 1).astype(int)
+        # Python-int shifts: a code of 64 or more sites overflows int64
+        return np.array([2 * ((self.code >> b) & 1) - 1 for b in range(self.nsites)], dtype=int)
 
     @staticmethod
     def from_spins(spins) -> "TauSector":
@@ -281,10 +283,13 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     gen, energies, worst = _generator_balance(model)
     if not worst <= 1e-10:
         raise ValueError(f"detailed balance violated at {worst:.2e}")
-    gen = gen.toarray()
+    h = gen.toarray()
     centered = energies - energies.mean()
     d = np.exp(0.5 * model.beta * centered)
-    h = -(d[:, None] * gen * (1.0 / d)[None, :])
+    # -(d[:, None] * gen * (1.0 / d)[None, :]) in place, in the same order
+    h *= d[:, None]
+    h *= (1.0 / d)[None, :]
+    np.negative(h, out=h)
     return check_hermitian(h)
 
 

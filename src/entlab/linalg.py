@@ -13,7 +13,10 @@ Conventions
 * Dense operators are 2-d ``numpy.ndarray`` (row-major), state vectors 1-d.
 * Hermitian inputs are checked against ``TOL_HERM`` relative to the matrix
   norm and then symmetrized, so downstream eigensolves see exactly Hermitian
-  matrices.
+  matrices.  ``check_hermitian`` allocates its result, one fresh C-ordered
+  array of the input's shape, and beside it one real array of that shape at
+  a time (``|A|`` for the scale, then ``|A - A^dag|``); it makes no
+  conjugated copy and never writes to its input.
 * Eigenvalues are returned ascending; within a degenerate cluster the
   eigenvector basis is arbitrary and nothing may rely on it.
 * entlab modules import only the top-level ``scipy`` package and reach its
@@ -123,14 +126,19 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     including for any non-finite entry.
     """
     a = np.asarray(a)
-    if not np.isfinite(a).all():
+    scale = np.abs(a).max() if a.size else 0.0
+    if not math.isfinite(scale):  # any non-finite entry makes max |A| non-finite
         raise NotHermitianError(math.nan, tol)
-    scale = max(np.abs(a).max() if a.size else 0.0, 1.0)
-    ah = a.conj().T
-    asym = float(np.abs(a - ah).max())
-    if not asym <= tol * scale:  # NaN fails too
+    scale = max(scale, 1.0)
+    # one fresh C-ordered array holds A^dag, A - A^dag, A^dag again and the result:
+    # the elementwise arithmetic of (A + A^dag)/2 without a conjugated copy
+    out = np.empty(a.shape, np.result_type(a, 0.5))
+    asym = float(np.abs(np.subtract(a, np.conjugate(a.T, out=out), out=out)).max())
+    if not asym <= tol * scale:
         raise NotHermitianError(asym, tol * scale)
-    return (a + ah) / 2
+    np.add(a, np.conjugate(a.T, out=out), out=out)
+    out /= 2
+    return out
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,8 @@ from entlab.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, lanczos_lowest
 from entlab.mps import aklt_mps, cluster_mps, majumdar_ghosh_mps
 from entlab.states import DensityMatrix, PureState, random_density, von_neumann_entropy
 
+from peakmem import BOOKKEEPING, traced_peak
+
 
 def test_builders_are_hermitian():
     for ham in (build_xy(0.7, 0.9, 6), build_aklt(4), build_mg(6), build_cluster(-1, 6)):
@@ -280,6 +282,14 @@ def test_mutual_info_area_check_values_are_unchanged():
     # the row of mutualinfo.csv for `mutualinfo quantum --sites 10 --beta 1.0 --cut 5`
     assert mutual_info_area_check(build_xy(1.0, 1.0, 10), 1.0, 5) == \
         (0.19449310394059172, 0.40624782303664864, 2.0)
+
+
+def test_mutual_info_area_check_holds_three_full_arrays():
+    # the boundary product h @ (kron - rho) needs its two operands and its result,
+    # complex 1024^2 arrays; everything else is freed or formed in place by then
+    full = 1024 ** 2 * 16
+    peak = traced_peak(mutual_info_area_check, build_xy(1.0, 1.0, 10), 1.0, 5)
+    assert peak <= 3 * full + BOOKKEEPING
 
 
 def test_mutual_info_area_check_diagonalizes_the_full_state_twice(monkeypatch):

@@ -33,6 +33,8 @@ from entlab.kinetic import (
 from entlab.linalg import PAULI_X, kron, trace_norm
 from entlab.states import DensityMatrix, random_density
 
+from peakmem import BOOKKEEPING, traced_peak
+
 
 def trace_distance(a, b):
     return 0.5 * trace_norm(a - b)
@@ -50,6 +52,9 @@ def test_model_validation():
     assert m2.gamma == math.tanh(2.0 * 0.3)
     assert m2.phi == pytest.approx(math.atan(math.tanh(0.3)))
     assert math.sin(2 * m2.phi) == pytest.approx(m2.gamma)
+    for beta in (-0.3, math.nan):
+        with pytest.raises(ValueError, match="^beta must be non-negative"):
+            KineticModel.thermal("single-flip", 6, beta)
 
 
 def test_model_rejects_pair_with_delta():
@@ -80,6 +85,12 @@ def test_tau_sector_codes():
     assert t.spins[:8].tolist() == [1] * 8
     assert t.spins[8:].tolist() == [-1] * 8
     assert TauSector.from_spins(t.spins).code == t.code
+    for n in (64, 1000):  # codes past int64
+        for name in kinetic.TAU_PATTERNS:
+            t = TauSector.named(name, n)
+            assert TauSector.from_spins(t.spins) == t
+            assert t.spins.tolist() == [1 if c == "+" else -1 for c in t.pattern]
+        assert TauSector.named("pair-up", n).pattern.count("+") == 2
 
 
 def test_glauber_rate_values():
@@ -653,6 +664,13 @@ def test_sector_evolution_builds_model_operands_once_per_call(monkeypatch):
     # nothing is kept between calls: a second call builds everything again
     assert selftest.sector_evolution(6, 0.4, (0.1, 1.0), 5, seed=24) == first
     assert calls == {"build_h_tau_two_flip": 64, "vectorized_generator": 2}
+
+
+def test_symmetrize_scales_the_generator_in_place():
+    # the dense generator, check_hermitian's output and its |A - A^T|
+    full = 2 ** 22 * 8
+    peak = traced_peak(symmetrize, KineticModel.thermal("single-flip", 11, 0.4))
+    assert peak <= 3.5 * full + BOOKKEEPING
 
 
 def test_symmetrize_builds_the_generator_once(monkeypatch):

@@ -16,6 +16,8 @@ from entlab.linalg import (
     trace_norm,
 )
 
+from peakmem import BOOKKEEPING, traced_peak
+
 
 def test_kron_identities():
     assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -86,6 +88,12 @@ def test_hermitian_eig_rejects_asymmetric():
     with pytest.raises(NotHermitianError) as exc:
         hermitian_eig(a)
     assert exc.value.asymmetry == pytest.approx(1.0)
+    a = np.random.default_rng(3).standard_normal((9, 18)).view(complex)
+    kept = a.copy()
+    with pytest.raises(NotHermitianError) as exc:
+        check_hermitian(a)
+    assert exc.value.asymmetry == float(np.abs(a - a.conj().T).max())
+    assert np.array_equal(a, kept)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -97,14 +105,36 @@ def test_check_hermitian_rejects_non_finite(bad):
             check_hermitian(a)
 
 
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_check_hermitian_symmetrizes_bitwise_as_definition():
     rng = np.random.default_rng(11)
     for n in (1, 7, 64):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = g + g.conj().T + 1e-13 * rng.standard_normal((n, n))
-        assert np.array_equal(check_hermitian(a), (a + a.conj().T) / 2)
-        real = a.real
-        assert np.array_equal(check_hermitian(real), (real + real.conj().T) / 2)
+        i, j = np.indices((n, n))
+        a.real[(i + j) % 3 == 0] = -0.0  # signed zeros come out as the definition's
+        a.imag[(i * j) % 4 == 1] = -0.0
+        padded = np.zeros((n + 3, n + 5), dtype=complex)
+        padded[1:n + 1, 2:n + 2] = a
+        layouts = (a, np.asfortranarray(a), a.T, padded[1:n + 1, 2:n + 2])
+        for x in layouts + tuple(y.real for y in layouts):
+            kept = x.copy()
+            out = check_hermitian(x)
+            assert same_bits(out, (x + x.conj().T) / 2)
+            assert out.flags.c_contiguous and not np.shares_memory(out, x)
+            assert same_bits(x, kept)
+
+
+def test_check_hermitian_holds_one_output_and_one_real_temporary():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    a = g + g.conj().T
+    del g
+    # the output and the |A - A^dag| it is checked by; a conjugated copy would add 1.0
+    assert traced_peak(check_hermitian, a) <= 1.5 * a.nbytes + BOOKKEEPING
 
 
 def test_hermitian_eig_bell_partial_transpose():
