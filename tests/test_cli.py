@@ -624,14 +624,14 @@ def test_short_rings_and_two_flip_delta_are_invalid_configurations(tmp_path, cap
 @pytest.mark.parametrize("argv,rule", [
     # the boundary bounds are derived for beta >= 0
     (("mutualinfo", "quantum", "--sites", "4", "--cut", "2", "--beta", "-1"), "beta >= 0"),
-    # the thermal map gamma = tanh(2 beta J) of the kinetic models
-    (("kinetic", "detailed-balance", "--model", "single-flip", "--sites", "6", "--beta", "-0.3"),
-     "beta must be non-negative, got beta -0.3"),
     # criterion 9 checks the free fermions against the dense route on [0, 1] only
     (("arealaw", "--gamma", "1.5", "--h", "1", "--sites", "16", "--nmin", "2", "--nmax", "4"),
      "anisotropy must lie in [0, 1]"),
     (("mutualinfo", "quantum", "--sites", "4", "--cut", "2", "--gamma", "1.5"),
      "anisotropy must lie in [0, 1]"),
+    # the thermal map gamma = tanh(2 beta J) of the kinetic models
+    (("kinetic", "detailed-balance", "--model", "single-flip", "--sites", "6", "--beta", "-0.3"),
+     "beta must be non-negative, got beta -0.3"),
 ])
 def test_inputs_outside_the_derivations_are_invalid_configurations(tmp_path, capsys, argv,
                                                                     rule):
