@@ -26,9 +26,10 @@ patterns, each governed by its own N-spin Hermitian Hamiltonian built by
 :func:`build_h_tau_single_flip` / :func:`build_h_tau_two_flip`;
 :func:`sector_split_evolve` runs that decomposition for the two-flip model
 and :func:`direct_evolve` integrates the full vectorized generator as an
-independent oracle.  Both depend on the model through one operand each, the
-sector eigensystems (:func:`sector_eigensystems`) and the vectorized
-generator, which a caller evolving many states builds once and passes in.
+independent oracle.  Both integrate one sparse generator by one integrator:
+the tau-sector blocks assembled by :func:`sector_generator` and the
+rate-built :func:`vectorized_generator`, which a caller evolving many
+states builds once and passes in.
 
 Sector Hamiltonians use the temperature angle ``phi`` with
 ``cos(phi) = cosh(bJ) / sqrt(cosh(bJ)^2 + sinh(bJ)^2)``; phi runs from 0
@@ -464,6 +465,17 @@ def vectorized_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
                         [np.outer(root, root).ravel() for root in roots], diag)
 
 
+def _integrate(gen: scipy.sparse.csr_matrix, rho0: DensityMatrix, t: float) -> DensityMatrix:
+    """exp(gen t) applied to the row-major vectorized ``rho0``, as a state; exact
+    evolution keeps it valid, so failing the 1e-8 checks is a :class:`NumericalError`."""
+    dim = rho0.matrix.shape[0]
+    out = scipy.sparse.linalg.expm_multiply(gen * t, rho0.matrix.reshape(-1))
+    try:
+        return DensityMatrix(rho0.dims, out.reshape(dim, dim), tol=1e-8)
+    except ValueError as exc:
+        raise NumericalError(f"evolved state: {exc}") from exc
+
+
 def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
                   generator: scipy.sparse.csr_matrix | None = None) -> DensityMatrix:
     """Oracle evolution: integrate the full vectorized generator.
@@ -472,91 +484,64 @@ def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
     evolve several states or times with one build, or leave it None to
     build it here.
     """
-    n = model.nsites
-    check_budget("direct_evolve_max_sites", n, "direct integration sites")
+    check_budget("direct_evolve_max_sites", model.nsites, "direct integration sites")
     gen = vectorized_generator(model) if generator is None else generator
-    vec = rho0.matrix.reshape(-1)
-    out = scipy.sparse.linalg.expm_multiply(gen * t, vec)
-    return _evolved_state(n, out.reshape(2 ** n, 2 ** n))
+    return _integrate(gen, rho0, t)
 
 
-def _evolved_state(n: int, matrix: np.ndarray) -> DensityMatrix:
-    """The evolved matrix as a state; failing validation is a numerical failure.
+def sector_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
+    """The two-flip vectorized generator assembled from its tau sectors.
 
-    Exact evolution keeps the state valid, so a matrix that fails the checks
-    (roundoff amplified past 1e-8, as by the low-temperature scaling of
-    :func:`sector_split_evolve`) raises :class:`NumericalError`.
+    The doubled-basis offset ``mu`` (the pairs ``(sigma, sigma ^ mu)``) has
+    the conserved products ``tau_i = mu_i mu_{i+1}`` and, scaled by
+    ``D = exp(beta (E - mean E) / 4)`` on both sides, evolves by -H_tau.  Its
+    block is written in the original frame, with no product by D and 1/D:
+
+        L_mu(a, b) = -H_tau(a, b) D_mu(b) / D_mu(a),  D_mu(s) = D(s) D(s ^ mu),
+
+    at row ``a 2^N + (a ^ mu)`` and column ``b 2^N + (b ^ mu)``.  Each of the
+    2^(N-1) distinct sectors, shared by ``mu`` and ``~mu``, is built once by
+    :func:`build_h_tau_two_flip`: a route to :func:`vectorized_generator`
+    independent of the rates.
     """
-    try:
-        return DensityMatrix((2,) * n, matrix, tol=1e-8)
-    except ValueError as exc:
-        raise NumericalError(f"evolved state: {exc}") from exc
-
-
-def _check_sector_model(model: KineticModel) -> None:
     if model.flip != "two-flip":
         raise ValueError("sector evolution is defined for the two-flip model")
     if model.gamma >= 1.0:
         raise ValueError("needs a finite-temperature parametrization")
-    check_budget("sector_evolve_max_sites", model.nsites, "sector evolution sites")
-
-
-def sector_eigensystems(model: KineticModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Dense eigensystems ``(w, V)`` of the tau sectors of the two-flip model.
-
-    Entry ``mu`` belongs to the doubled-basis offset ``mu`` (the pairs
-    ``(sigma, sigma ^ mu)``), whose conserved products are
-    ``tau_i = mu_i mu_{i+1}``.  Each of the 2^(N-1) distinct sectors is
-    built by :func:`build_h_tau_two_flip` and diagonalized once, in order of
-    first appearance, and shared by the two offsets ``mu`` and ``~mu`` that
-    map to it.  The list depends on the model only: build it once and pass
-    it to :func:`sector_split_evolve` for every state and time.
-    """
-    _check_sector_model(model)
     n = model.nsites
-    solved: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    out = []
-    for mu_code in range(2 ** n):
+    check_budget("sector_evolve_max_sites", n, "sector evolution sites")
+    dim = 2 ** n
+    energies = ising_energies(n, model.coupling)
+    scaling = np.exp(0.25 * model.beta * (energies - energies.mean()))
+    sectors = {}
+    rows, cols, vals = [], [], []
+    for mu_code in range(dim):
         # tau_i = mu_i mu_{i+1}: +1 where neighboring mu bits agree
         bits = (mu_code >> (n - 1 - np.arange(n))) & 1
         tau_spins = np.where(bits == np.roll(bits, -1), 1, -1)
         key = tuple(tau_spins)
-        if key not in solved:
-            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi, n)
-            solved[key] = np.linalg.eigh(ham.dense())
-        out.append(solved[key])
-    return out
+        if key not in sectors:
+            h = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi, n).dense()
+            a, b = np.nonzero(h)
+            sectors[key] = a, b, h[a, b]
+        a, b, h_ab = sectors[key]
+        d_mu = scaling * scaling[np.arange(dim) ^ mu_code]
+        rows.append(a * dim + (a ^ mu_code))
+        cols.append(b * dim + (b ^ mu_code))
+        vals.append(-h_ab * d_mu[b] / d_mu[a])
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim * dim, dim * dim),
+    ).tocsr()
 
 
 def sector_split_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
-                        eigensystems: list | None = None) -> DensityMatrix:
-    """Evolve by splitting the transformed master equation into tau sectors.
-
-    Steps: vectorize rho, apply the exp(+(beta/4)(H + Htilde)) scaling, split
-    the doubled basis along the conserved tau products, evolve each sector by
-    exp(-H_tau t), and undo the scaling.  Equivalent to :func:`direct_evolve`
-    but exposes the sector structure.  ``eigensystems`` is
-    :func:`sector_eigensystems` of ``model``; pass it to evolve several
-    states or times with one set of sector diagonalizations, or leave it
-    None to compute it here.
-    """
-    _check_sector_model(model)
-    if eigensystems is None:
-        eigensystems = sector_eigensystems(model)
-    n = model.nsites
-    dim = 2 ** n
-    energies = ising_energies(n, model.coupling)
-    centered = energies - energies.mean()
-    scaling = np.exp(0.25 * model.beta * centered)
-
-    psi = (scaling[:, None] * rho0.matrix * scaling[None, :]).astype(complex)
-    out = np.empty_like(psi)
-    codes = np.arange(dim)
-    for mu_code, (w, v) in enumerate(eigensystems):
-        tilde = codes ^ mu_code
-        u = psi[codes, tilde]
-        out[codes, tilde] = v @ (np.exp(-w * t) * (v.conj().T @ u))
-    return _evolved_state(n, out / scaling[:, None] / scaling[None, :])
+                        generator: scipy.sparse.csr_matrix | None = None) -> DensityMatrix:
+    """Evolve the two-flip model through its tau sectors: :func:`direct_evolve`'s
+    integrator on :func:`sector_generator`, passed as ``generator`` to share
+    one build between states and times, or built here if None."""
+    gen = sector_generator(model) if generator is None else generator
+    return _integrate(gen, rho0, t)
 
 
 def classical_evolve(p0: np.ndarray, model: KineticModel, t: float) -> np.ndarray:

@@ -59,7 +59,7 @@ BUDGET = MappingProxyType({
     "classical_ring_max_sites": 20,        # chains.classical_gibbs_mutual_info
     "generator_max_sites": 20,             # kinetic.build_generator
     "direct_evolve_max_sites": 7,          # kinetic.direct_evolve, kinetic evolve
-    "sector_evolve_max_sites": 10,         # kinetic sector evolution
+    "sector_evolve_max_sites": 10,         # kinetic.sector_generator
     "spectra_scan_max_sites": 17,          # kinetic.sector_spectra_scan
     "mps_dense_max_amplitudes": 2 ** 16,   # MatrixProductState.to_dense
     "haar_max_amplitudes": 2 ** 14,        # m n of each Haar draw (haar._reduced_spectrum)

@@ -444,19 +444,19 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
     initial states drawn first from ``seed``; the diagonal of the first one
     evolves through the sectors as under the classical master equation.
 
-    The sector eigensystems and the vectorized generator depend on the model
+    The sector generator and the vectorized generator depend on the model
     only; they are built once per call and shared by every (state, time)."""
-    # direct_evolve's limit, checked before the sector eigensystems are built
+    # direct_evolve's limit, checked before the sector generator is built
     check_budget("direct_evolve_max_sites", n, "oracle comparison sites")
     model = KineticModel.thermal("two-flip", n, beta)
     rng = np.random.default_rng(seed)
     starts = [states.random_density((2,) * n, rng) for _ in range(initial_states)]
-    eigensystems = kinetic.sector_eigensystems(model)
+    sector_gen = kinetic.sector_generator(model)
     generator = kinetic.vectorized_generator(model)
     worst = 0.0
     for rho0 in starts:
         for at in _grid(t):
-            a = kinetic.sector_split_evolve(rho0, model, at, eigensystems)
+            a = kinetic.sector_split_evolve(rho0, model, at, sector_gen)
             b = kinetic.direct_evolve(rho0, model, at, generator)
             dist = 0.5 * float(np.abs(np.linalg.svd(a.matrix - b.matrix,
                                                     compute_uv=False)).sum())
@@ -466,7 +466,7 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
     diagonal = states.DensityMatrix((2,) * n, np.diag(p0))
     classical = 0.0
     for at in _grid(t):
-        rho_t = kinetic.sector_split_evolve(diagonal, model, at, eigensystems).matrix
+        rho_t = kinetic.sector_split_evolve(diagonal, model, at, sector_gen).matrix
         p_t = kinetic.classical_evolve(p0, model, at)
         classical = max(classical, float(np.abs(rho_t - np.diag(p_t)).max()))
     return Outcome({"sites": n, "beta": beta, "t": t, "initial_states": initial_states,

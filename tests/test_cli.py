@@ -274,13 +274,18 @@ def test_unknown_selftest_criterion_is_rejected(capsys):
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     import numpy as np
+    import scipy.sparse.linalg
 
     import entlab.chains as chains
     from entlab.linalg import NumericalError
 
-    # the exp(beta E / 4) scaling at beta 6 amplifies roundoff past the evolved
-    # state's 1e-8 Hermiticity check
-    assert run(tmp_path, "kinetic", "evolve", "--sites", "6", "--beta", "6", "--t", "3") == 4
+    # low temperature keeps the evolved state within its 1e-8 checks
+    assert run(tmp_path, "kinetic", "evolve", "--sites", "6", "--beta", "6", "--t", "3") == 0
+    assert json.loads(capsys.readouterr().out)["max_trace_distance"] <= 1e-8
+    # an integrator result that fails those checks is a numerical failure
+    with monkeypatch.context() as patched:
+        patched.setattr(scipy.sparse.linalg, "expm_multiply", lambda op, vec: vec + 1e-6j)
+        assert run(tmp_path, "kinetic", "evolve", "--sites", "6", "--beta", "6", "--t", "3") == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: evolved state") and err.count("\n") == 1
 

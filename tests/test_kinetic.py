@@ -22,7 +22,7 @@ from entlab.kinetic import (
     glauber_rate,
     ising_energies,
     mixed_block_min_eigenvalue,
-    sector_eigensystems,
+    sector_generator,
     sector_spectra_scan,
     sector_split_evolve,
     single_flip_coefficients,
@@ -476,16 +476,29 @@ def test_sector_evolution_diagonal_is_classical():
         assert np.abs(off).max() <= 1e-10
 
 
-def test_sector_evolution_matches_direct_integration():
-    n = 5
-    model = KineticModel.thermal("two-flip", n, 0.4)
+# beta 6 and 8: the sector generator is written in the original frame, so no
+# exp(+-beta E / 4) round trip amplifies roundoff at low temperature
+@pytest.mark.parametrize("n,beta", [(5, 0.4), (4, 6.0), (6, 6.0), (7, 6.0),
+                                    (4, 8.0), (6, 8.0), (7, 8.0)])
+def test_sector_evolution_matches_direct_integration(n, beta):
+    model = KineticModel.thermal("two-flip", n, beta)
+    sectors, generator = sector_generator(model), vectorized_generator(model)
     rng = np.random.default_rng(5)
     for _ in range(3):
         rho0 = random_density((2,) * n, rng)
-        for t in (0.1, 1.0):
-            a = sector_split_evolve(rho0, model, t)
-            b = direct_evolve(rho0, model, t)
-            assert trace_distance(a.matrix, b.matrix) <= 1e-8
+        assert np.array_equal(sector_split_evolve(rho0, model, 0.0, sectors).matrix, rho0.matrix)
+        for t in (0.1, 1.0, 3.0):
+            a = sector_split_evolve(rho0, model, t, sectors)
+            b = direct_evolve(rho0, model, t, generator)
+            assert trace_distance(a.matrix, b.matrix) <= \
+                selftest.TOLERANCES["evolution_trace_distance"]
+
+
+def test_sector_generator_equals_the_vectorized_generator():
+    # two routes to one matrix: the H_tau formula and the rate table
+    model = KineticModel.thermal("two-flip", 5, 0.37)
+    got, want = sector_generator(model).toarray(), vectorized_generator(model).toarray()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_late_time_diagonal_is_parity_resolved_gibbs():
@@ -550,7 +563,7 @@ def test_sector_scan_rejects_rings_too_short_for_the_terms(kind, minimum):
 
 def test_sector_evolution_rejects_a_three_site_ring():
     with pytest.raises(ValueError, match="at least 4 sites"):
-        sector_eigensystems(KineticModel.thermal("two-flip", 3, 0.4))
+        sector_generator(KineticModel.thermal("two-flip", 3, 0.4))
 
 
 @pytest.mark.parametrize("kind", ["two-flip", "single-flip"])
@@ -602,29 +615,6 @@ def test_two_flip_uniform_first_excited_merges_at_zero_temperature():
 # -- per-call evolution, each call building its own operands, kept as the
 # bitwise reference for the shared-operand path --
 
-def reference_sector_split_evolve(rho0, model, t):
-    n = model.nsites
-    dim = 2 ** n
-    energies = ising_energies(n, model.coupling)
-    scaling = np.exp(0.25 * model.beta * (energies - energies.mean()))
-    psi = (scaling[:, None] * rho0.matrix * scaling[None, :]).astype(complex)
-    out = np.empty_like(psi)
-    codes = np.arange(dim)
-    cache = {}
-    for mu_code in range(dim):
-        tilde = codes ^ mu_code
-        bits = (mu_code >> (n - 1 - np.arange(n))) & 1
-        tau_spins = np.where(bits == np.roll(bits, -1), 1, -1)
-        key = tuple(tau_spins)
-        if key not in cache:
-            ham = build_h_tau_two_flip(TauSector.from_spins(tau_spins), model.phi, n)
-            cache[key] = np.linalg.eigh(ham.dense())
-        w, v = cache[key]
-        out[codes, tilde] = v @ (np.exp(-w * t) * (v.conj().T @ psi[codes, tilde]))
-    rho_t = out / scaling[:, None] / scaling[None, :]
-    return DensityMatrix((2,) * n, rho_t, tol=1e-8)
-
-
 def reference_direct_evolve(rho0, model, t):
     n = model.nsites
     out = expm_multiply(vectorized_generator(model) * t, rho0.matrix.reshape(-1))
@@ -635,15 +625,13 @@ def reference_direct_evolve(rho0, model, t):
 def test_shared_operand_evolution_matches_per_call_reference(n):
     model = KineticModel.thermal("two-flip", n, 0.4)
     rng = np.random.default_rng(n)
-    eigensystems = sector_eigensystems(model)
+    sectors = sector_generator(model)
     generator = vectorized_generator(model)
-    assert len(eigensystems) == 2 ** n
+    assert sectors.shape == (4 ** n, 4 ** n)
     for rho0 in [random_density((2,) * n, rng) for _ in range(3)]:
         for t in (0.0, 0.1, 1.0):
-            ref = reference_sector_split_evolve(rho0, model, t)
-            assert np.array_equal(sector_split_evolve(rho0, model, t, eigensystems).matrix,
-                                  ref.matrix)
-            assert np.array_equal(sector_split_evolve(rho0, model, t).matrix, ref.matrix)
+            assert np.array_equal(sector_split_evolve(rho0, model, t, sectors).matrix,
+                                  sector_split_evolve(rho0, model, t).matrix)
             ref = reference_direct_evolve(rho0, model, t)
             assert np.array_equal(direct_evolve(rho0, model, t, generator).matrix, ref.matrix)
             assert np.array_equal(direct_evolve(rho0, model, t).matrix, ref.matrix)

@@ -248,7 +248,7 @@ def _over_budget_cases():
             rho8, KineticModel.thermal("two-flip", 8, 0.4), 0.1),
         "direct_evolve_max_sites (kinetic evolve)": lambda: selftest.sector_evolution(
             8, 0.4, 0.1, 1, seed=0),
-        "sector_evolve_max_sites": lambda: kinetic.sector_eigensystems(
+        "sector_evolve_max_sites": lambda: kinetic.sector_generator(
             KineticModel.thermal("two-flip", 11, 0.4)),
         "spectra_scan_max_sites": lambda: kinetic.sector_spectra_scan(
             "two-flip", 18, [kinetic.TauSector.named("pair-up", 18)], [0.1]),
