@@ -12,7 +12,12 @@ site order.  Each such row map owns one length-d^N vector indexed by column,
 and the terms are added into these vectors in term order.  Every matrix entry
 therefore receives the same products, summed in the same order, as the
 Kronecker definition ``sum_t c_t (x)_s m_{t,s}``, so the result is bitwise
-identical to it.
+identical to it.  The sparse matrix is built in CSC form straight from these
+vectors: column c holds its vector entries at their rows, in row-map order, so
+the transposed (row maps, dim) arrays with their zeros masked out are the CSC
+data and row indices, and one conversion gives the canonical CSR (sorted
+columns in every row, no stored zeros).  The working set is the accumulator,
+its int32 rows and one copy of the nonzero entries with their indices.
 
 The builders cover the anisotropic XY chain in a transverse field, the spin-1
 AKLT chain, the Majumdar-Ghosh chain (Pauli convention), and the
@@ -87,6 +92,9 @@ class SpinHamiltonian:
 
         Returns (rows, acc), both (row maps, dim): ``acc[i, c]`` is the matrix
         entry at column c and row ``rows[i, c]``.  Terms are added in term order.
+        ``acc`` is the real part of the complex sums when their largest
+        imaginary part is at most 1e-14 of max(largest real part, 1), the one
+        real-or-complex rule of :meth:`dense` and :meth:`sparse`.
         """
         d, n = self.local_dim, self.nsites
         places = d ** np.arange(n - 1, -1, -1)  # site 0 is the most significant digit
@@ -115,7 +123,7 @@ class SpinHamiltonian:
         for index, vals in updates:
             acc[index] += vals
         codes = np.arange(d ** n).reshape((d,) * n)
-        rows = np.empty((len(slots), d ** n), dtype=int)
+        rows = np.empty((len(slots), d ** n), dtype=np.int32)  # the index type of the CSR
         for i, shift in enumerate(slots):
             row = codes
             for axis in reversed(range(n)):
@@ -123,28 +131,30 @@ class SpinHamiltonian:
                 # the entry at digit j of this site becomes the code with digit j + step
                 row = np.roll(row, -step, axis=axis) if step else row
             rows[i] = row.reshape(-1)
-        return rows, acc.reshape(len(slots), d ** n)
+        acc = acc.reshape(len(slots), d ** n)
+        # every nonzero entry of the matrix is an entry of acc
+        imag_max = np.abs(acc.imag).max(initial=0.0)
+        if imag_max <= 1e-14 * max(np.abs(acc.real).max(initial=0.0), 1.0):
+            acc = acc.real
+        return rows, acc
 
     def dense(self) -> np.ndarray:
         dim = self.local_dim ** self.nsites
         rows, acc = self._accumulate()
-        # every nonzero entry of the matrix is an entry of acc
-        imag_max = np.abs(acc.imag).max(initial=0.0)
-        is_real = imag_max <= 1e-14 * max(np.abs(acc.real).max(initial=0.0), 1.0)
-        out = np.zeros((dim, dim), dtype=float if is_real else complex)
-        out[rows, np.arange(dim)] = acc.real if is_real else acc
+        out = np.zeros((dim, dim), dtype=acc.dtype)
+        out[rows, np.arange(dim)] = acc
         return out
 
     def sparse(self) -> scipy.sparse.csr_matrix:
         dim = self.local_dim ** self.nsites
         rows, acc = self._accumulate()
-        slot, cols = np.nonzero(acc)
-        rows, data = rows[slot, cols], acc[slot, cols]
-        if np.abs(data.imag).max(initial=0.0) <= 1e-14:
-            data = data.real
-            keep = data != 0
-            rows, cols, data = rows[keep], cols[keep], data[keep]
-        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+        # the transposes list every column's entries in row-map order: CSC order
+        keep = acc.T != 0
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        csc = scipy.sparse.csc_matrix((acc.T[keep], rows.T[keep], indptr), shape=(dim, dim))
+        del rows, acc, keep  # freed before the conversion allocates the CSR
+        return csc.tocsr()
 
     def operator(self):
         """:meth:`dense` up to ``BUDGET["dense_dim"]``, :meth:`sparse` above."""

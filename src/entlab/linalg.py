@@ -175,6 +175,13 @@ def lanczos_lowest(
     the deflation resolves exact degeneracies (a single Krylov sequence only
     ever sees one vector per eigenspace).
 
+    Memory: one Krylov basis of ``min(128, steps) x dim`` entries, allocated
+    once and shared by all ``k`` rounds; it doubles when a round needs more
+    steps and keeps that size for the later rounds.  Beside it the call holds
+    the ``k`` eigenvectors and a few length-dim vectors; the iteration updates
+    its vector in place.  For a complex operator the re-orthogonalization also
+    forms the conjugate of the basis rows in use.
+
     Parameters
     ----------
     op : ndarray or sparse matrix
@@ -204,11 +211,13 @@ def lanczos_lowest(
     found_vals: list[float] = []
     found_vecs: list[np.ndarray] = []
 
-    def project_out(x):
+    def project_out(x):  # in place
         for u in found_vecs:
-            x = x - u * (u.conj() @ x)
+            x -= u * (u.conj() @ x)
         return x
 
+    cap = min(maxiter + 1, dim + 1)
+    basis = np.empty((min(cap, 128), dim), dtype=dtype)
     for _ in range(k):
         v0 = rng.standard_normal(dim)
         if dtype is complex:
@@ -216,8 +225,6 @@ def lanczos_lowest(
         v0 = project_out(v0.astype(dtype))
         v0 /= np.linalg.norm(v0)
 
-        cap = min(maxiter + 1, dim + 1)
-        basis = np.empty((min(cap, 128), dim), dtype=dtype)
         basis[0] = v0
         m = 1
         alphas: list[float] = []
@@ -230,12 +237,12 @@ def lanczos_lowest(
             w_vec = op @ basis[m - 1]
             scale = max(scale, float(np.linalg.norm(w_vec)))
             alphas.append(float(np.real(basis[m - 1].conj() @ w_vec)))
-            w_vec = w_vec - alphas[-1] * basis[m - 1]
+            w_vec -= alphas[-1] * basis[m - 1]
             if m > 1:
-                w_vec = w_vec - betas[-1] * basis[m - 2]
-            w_vec = project_out(w_vec)
+                w_vec -= betas[-1] * basis[m - 2]
+            project_out(w_vec)
             # full re-orthogonalization against the whole Krylov basis
-            w_vec = w_vec - basis[:m].T @ (basis[:m].conj() @ w_vec)
+            w_vec -= basis[:m].T @ (basis[:m].conj() @ w_vec)
             beta = float(np.linalg.norm(w_vec))
 
             spanned = beta < 1e-13 * scale  # Krylov space exhausted: exact
@@ -256,7 +263,7 @@ def lanczos_lowest(
                 grown = np.empty((min(2 * m, cap), dim), dtype=dtype)
                 grown[:m] = basis
                 basis = grown
-            basis[m] = w_vec / beta
+            np.divide(w_vec, beta, out=basis[m])
             m += 1
 
         if not converged:

@@ -21,6 +21,7 @@ from entlab.chains import (
     thermal_state,
 )
 from entlab.kinetic import (
+    TAU_PATTERNS,
     KineticModel,
     TauSector,
     build_h_beta_single_flip,
@@ -373,7 +374,7 @@ def kron_reference_dense(ham):
 
 
 def kron_reference_sparse(ham):
-    """The same sum with scipy.sparse.kron, real when imag <= 1e-14 absolute."""
+    """The same sum with scipy.sparse.kron, real when imag <= 1e-14 relative."""
     dim = ham.local_dim ** ham.nsites
     ident = scipy.sparse.identity(ham.local_dim, dtype=complex, format="coo")
     out = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
@@ -383,7 +384,8 @@ def kron_reference_sparse(ham):
                             lambda a, b: scipy.sparse.kron(a, b, format="coo"), ident)
         out = out + coeff * chain.tocsr()
     imag_max = np.abs(out.imag.tocoo().data).max() if out.imag.nnz else 0.0
-    if imag_max <= 1e-14:
+    real_max = np.abs(out.real.tocoo().data).max() if out.real.nnz else 0.0
+    if imag_max <= 1e-14 * max(real_max, 1.0):
         out = out.real
     return out.tocsr()
 
@@ -438,6 +440,48 @@ def test_assembly_is_bitwise_kronecker(name):
     ham = ORACLE_BUILDERS[name]()
     # dense references above dim 1024 cost gigabytes; the sparse one is exact there too
     assert_matches_reference(ham, dense=ham.local_dim ** ham.nsites <= 1024)
+
+
+def _complex_xy(n):
+    ham = build_xy(0.5, 0.8, n)
+    ham.add(0.3, [(1, PAULI_Y)])
+    return ham
+
+
+SPARSE_ORACLE_BUILDERS = {
+    **{f"two-flip-{n}-{name}-phi{phi:.3f}":
+       (lambda n=n, name=name, phi=phi: build_h_tau_two_flip(TauSector.named(name, n), phi, n))
+       for n in (4, 6, 9) for name in TAU_PATTERNS for phi in (0.0, 0.3, math.pi / 4)},
+    **{f"single-flip-{n}-{name}-delta{delta}":
+       (lambda n=n, name=name, delta=delta: build_h_tau_single_flip(
+           TauSector.named(name, n), KineticModel("single-flip", n, 0.7, delta)))
+       for n in (4, 6, 9) for name in TAU_PATTERNS for delta in (0.0, 0.3)},
+    **{f"{kind}-{n}": (lambda n=n, build=build: build(n))
+       for n in (4, 6, 9)
+       for kind, build in (("xy", lambda n: build_xy(0.5, 0.8, n)), ("mg", build_mg),
+                           ("xy-complex", _complex_xy))},
+    # 3^9 is too large a dense matrix for an oracle
+    **{f"aklt-{n}": (lambda n=n: build_aklt(n)) for n in (4, 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_ORACLE_BUILDERS))
+def test_sparse_is_the_csr_of_dense(name):
+    ham = SPARSE_ORACLE_BUILDERS[name]()
+    mat, ref = ham.sparse(), scipy.sparse.csr_matrix(ham.dense())
+    assert isinstance(mat, scipy.sparse.csr_matrix)
+    for x, y in ((mat.indptr, ref.indptr), (mat.indices, ref.indices), (mat.data, ref.data)):
+        assert same_bytes(x, y)
+
+
+def test_sparse_holds_the_accumulator_and_one_copy_of_its_entries():
+    ham = build_h_tau_two_flip(TauSector.named("pair-up", 14), 0.3, 14)
+    rows, _ = ham._accumulate()
+    accumulator = rows.size * 16  # complex sums, one per (row map, column)
+    del rows, _
+    # the accumulator with its int32 rows, the nonzero mask, and one copy of the
+    # nonzero entries with their indices
+    assert traced_peak(ham.sparse) <= 2.5 * accumulator + BOOKKEEPING
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -497,24 +541,33 @@ def test_assembly_lone_y_stays_complex():
     assert np.array_equal(ham.dense(), target)
     assert np.array_equal(ham.sparse().toarray(), target)
     assert_matches_reference(ham)
-    # dense drops an imaginary part relative to the real scale, sparse only below 1e-14
-    ham = SpinHamiltonian(3, 2, [])
-    ham.add(100.0, [(0, PAULI_Z)])
-    ham.add(1e-13, [(1, PAULI_Y)])
-    assert ham.dense().dtype == float
-    assert ham.sparse().dtype == complex
-    assert_matches_reference(ham)
-    # a negligible lone Y: both turn real, and sparse stores none of the zeros
-    # the dropped imaginary parts leave behind (the Kronecker sum kept them)
-    ham = SpinHamiltonian(3, 2, [])
-    ham.add(1.0, [(0, PAULI_Z)])
-    ham.add(1e-16, [(1, PAULI_Y)])
-    mat, ref = ham.sparse(), kron_reference_sparse(ham)
-    assert mat.dtype == float and mat.nnz == 8 and np.count_nonzero(ref.data == 0) == 8
-    ref.eliminate_zeros()
-    assert same_bytes(mat.indptr, ref.indptr) and same_bytes(mat.indices, ref.indices)
-    assert same_bytes(mat.data, ref.data)
-    assert same_bytes(mat.toarray(), ham.dense())
+    # a lone Y negligible against the real scale (1e-14 of it, or of 1 below 1):
+    # both turn real, and sparse stores none of the zeros the dropped imaginary
+    # parts leave behind (the Kronecker sum kept them)
+    for scale, tiny in ((100.0, 1e-13), (1.0, 1e-16)):
+        ham = SpinHamiltonian(3, 2, [])
+        ham.add(scale, [(0, PAULI_Z)])
+        ham.add(tiny, [(1, PAULI_Y)])
+        mat, ref = ham.sparse(), kron_reference_sparse(ham)
+        assert mat.dtype == float and mat.nnz == 8 and np.count_nonzero(ref.data == 0) == 8
+        ref.eliminate_zeros()
+        assert same_bytes(mat.indptr, ref.indptr) and same_bytes(mat.indices, ref.indices)
+        assert same_bytes(mat.data, ref.data)
+        assert same_bytes(mat.toarray(), ham.dense())
+
+
+@pytest.mark.parametrize("n", [4, 11])
+def test_dense_and_sparse_share_one_real_or_complex_rule(n):
+    # an imaginary part of 1e-13 against a real scale of 1000 is roundoff, so
+    # operator() is real on both sides of the dense/sparse crossover (dim 1024)
+    ham = SpinHamiltonian(n, 2, [])
+    ham.add(1000.0, [(0, PAULI_Z)])
+    ham.add(1e-13j, [(1, PAULI_Z)])
+    assert ham.operator().dtype == float
+    assert ham.sparse().dtype == float
+    if n == 4:
+        assert ham.dense().dtype == float
+        assert same_bytes(ham.sparse().toarray(), ham.dense())
 
 
 def test_assembly_single_site():
