@@ -47,7 +47,7 @@ import scipy
 
 from .freefermion import check_anisotropy, xy_entropy_free_fermion
 from .linalg import (BUDGET, PAULI_X, PAULI_Y, PAULI_Z, NumericalError, check_budget,
-                     lanczos_lowest)
+                     lanczos_lowest, require_hermitian)
 from .states import (
     DensityMatrix,
     PureState,
@@ -157,10 +157,14 @@ class SpinHamiltonian:
         return csc.tocsr()
 
     def operator(self):
-        """:meth:`dense` up to ``BUDGET["dense_dim"]``, :meth:`sparse` above."""
+        """:meth:`dense` up to ``BUDGET["dense_dim"]``, :meth:`sparse` above.
+
+        Raises :class:`~entlab.linalg.NotHermitianError` for a non-Hermitian
+        term list, which an eigensolver would read as a wrong Hermitian matrix.
+        """
         dim = self.local_dim ** self.nsites
         check_budget("lanczos_max_dim", dim, "sparse diagonalization dimension")
-        return self.dense() if dim <= BUDGET["dense_dim"] else self.sparse()
+        return require_hermitian(self.dense() if dim <= BUDGET["dense_dim"] else self.sparse())
 
 
 def _bonds(n: int, bc: str, reach: int = 1):
@@ -308,11 +312,15 @@ def free_fermion_entropy_scan(gamma: float, h: float, n: int, block_sizes,
 
 
 def thermal_state(ham: SpinHamiltonian, beta: float) -> DensityMatrix:
-    """Gibbs state exp(-beta H)/Z by dense eigendecomposition."""
+    """Gibbs state exp(-beta H)/Z by dense eigendecomposition.
+
+    Raises :class:`~entlab.linalg.NotHermitianError` for a non-Hermitian ``ham``.
+    """
     dim = ham.local_dim ** ham.nsites
     check_budget("full_spectrum_max_dim", dim, "thermal state dimension")
-    w, v = np.linalg.eigh(ham.dense())
-    boltz = np.exp(-beta * (w - w.min()))
+    w, v = np.linalg.eigh(require_hermitian(ham.dense()))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the right weight of a far level
+        boltz = np.exp(-beta * (w - w.min()))
     boltz /= boltz.sum()
     rho = (v * boltz) @ v.conj().T
     del v  # not held while the state is validated
@@ -371,16 +379,26 @@ SPINS = (1.0, -1.0)  # the site values of a classical ring, in digit order
 
 
 def _ring_probabilities(coupling: float, beta: float, n: int) -> np.ndarray:
-    """Gibbs weights of the Ising ring ``E = -J sum s_i s_{i+1}``, ``J = coupling``."""
+    """Gibbs weights of the Ising ring ``E = -J sum s_i s_{i+1}``, ``J = coupling``.
+
+    Raises :class:`~entlab.linalg.NumericalError` if an energy or the sum of
+    the weights is not finite.
+    """
     d = len(SPINS)
     codes = np.arange(d ** n)
     digits = (codes[:, None] // d ** np.arange(n)[None, :]) % d
     table = np.array([[-coupling * a * b for b in SPINS] for a in SPINS], dtype=float)
     energy = np.zeros(len(codes))
-    for i in range(n):
-        energy += table[digits[:, i], digits[:, (i + 1) % n]]
-    weights = np.exp(-beta * (energy - energy.min()))
-    return weights / weights.sum(), digits
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        for i in range(n):
+            energy += table[digits[:, i], digits[:, (i + 1) % n]]
+        # exp(-inf) = 0 is the right weight of a configuration far above the minimum
+        weights = np.exp(-beta * (energy - energy.min()))
+        total = weights.sum()
+    if not (np.isfinite(energy).all() and math.isfinite(total)):
+        raise NumericalError(f"Ising ring energies or Gibbs weights are not finite "
+                             f"at J = {coupling}, beta = {beta}")
+    return weights / total, digits
 
 
 def _marginal(p: np.ndarray, digits: np.ndarray, sites, d: int):

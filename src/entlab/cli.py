@@ -17,7 +17,8 @@ the manifest's timestamp differs between identical runs.
 Exit codes: 0 all embedded assertions passed; 1 an assertion failed (the
 first failing check is named on stderr); 2 invalid configuration;
 3 resource limit exceeded (a ``BUDGET`` entry, or an allocation that failed);
-4 numerical failure (a solver did not converge).
+4 numerical failure (a solver did not converge, or a value or CSV cell is not
+finite; nothing is written then).
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def write_csv(path: Path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def require_finite(outcome: Outcome) -> None:
+    """Raise :class:`NumericalError` naming the first value or CSV column that
+    holds a non-finite float: an overflow is a numerical failure, not a result."""
+    header, rows = outcome.table or ((), ())
+    for key, value in [*outcome.values.items(), *(c for row in rows for c in zip(header, row))]:
+        for x in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+                raise NumericalError(f"{key} is {x}, not a finite number")
 
 
 # manifest file names that do not follow from the command name
@@ -354,6 +365,7 @@ def main(argv=None) -> int:
         tol = tolerance_table(args.tol)
         outdir.mkdir(parents=True, exist_ok=True)
         outcome = args.fn(args, outdir, tol)
+        require_finite(outcome)
         doc = outcome.values
         if outcome.table is not None:
             doc["csv"] = str(outdir / doc["csv"])

@@ -17,11 +17,15 @@ Typical states are almost maximally entangled: the entropy deficiency
 ln m - <S> decays like m/2n.
 
 Units: closed forms are natural-log (nats); ``nats_to_bits`` converts.
-Sampling is seed-deterministic, and Monte Carlo runs can be split across
-independent substreams derived from (seed, worker index).  Draws are made
-and decomposed in blocks of up to ``MC_BLOCK``: one normal draw and one
-stacked SVD per block.  The stream and every per-draw value are identical
-to drawing one sample at a time, so results do not depend on the block size.
+One Monte Carlo estimator, ``sample_moments``, serves every caller: draws
+are made in blocks of up to ``MC_BLOCK``, block b from substream b of
+``SeedSequence(seed).spawn``, with one normal draw and one stacked SVD per
+block.  Within a block every per-draw value equals drawing one sample at a
+time from that substream, so the estimates depend on (m, n, samples, seed)
+and on ``MC_BLOCK``, which sets the number of substreams, but not on the
+worker count.  Each draw yields both the purity and the entropy; a mean's
+standard error is sqrt(var / N) with the population variance
+E[x^2] - mean^2 of the N draws.
 """
 
 from __future__ import annotations
@@ -76,18 +80,9 @@ def _block_counts(samples: int) -> list[int]:
     return [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
 
 
-def _spectrum_blocks(m: int, n: int, rng, samples: int) -> list[np.ndarray]:
-    """Reduced spectra of ``samples`` successive draws from ``rng``, one array per block."""
-    return [_reduced_spectrum(m, n, rng, count) for count in _block_counts(samples)]
-
-
 def _entropies(p: np.ndarray) -> np.ndarray:
     """Entropy in nats of each row of ``p``, with 0 log 0 = 0."""
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
-
-
-def _purities(p: np.ndarray) -> np.ndarray:
-    return (p * p).sum(axis=1)
 
 
 def mean_purity_exact(m: int, n: int) -> float:
@@ -116,14 +111,12 @@ def mean_entropy_approx(m: int, n: int) -> float:
     return math.log(m) - m / (2.0 * n)
 
 
-def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
-                    workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo estimate of <S(rho_A)> in nats, with its standard error.
+def sample_moments(m: int, n: int, samples: int, seed,
+                   workers: int = 1) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Monte Carlo ((<tr rho_A^2>, stderr), (<S(rho_A)> in nats, stderr)) from one set of draws.
 
-    Sampling is organized in fixed-size blocks, each drawing from its own
-    substream spawned from the seed; workers only decide which blocks run
-    concurrently.  The estimate therefore depends on (m, n, samples, seed)
-    alone, not on the worker count or the scheduling.
+    Block b draws from substream b of the seed; ``workers`` only decides
+    which blocks run concurrently, so it cannot change the estimates.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"use at least {MIN_SAMPLES} samples")
@@ -132,34 +125,30 @@ def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
 
     def run_block(task):
         count, stream = task
-        s = _entropies(_reduced_spectrum(m, n, np.random.default_rng(stream), count))
+        p = _reduced_spectrum(m, n, np.random.default_rng(stream), count)
         # running sums in draw order, as a scalar loop would add them
-        return float(np.cumsum(s)[-1]), float(np.cumsum(s * s)[-1])
+        return [(float(np.cumsum(x)[-1]), float(np.cumsum(x * x)[-1]))
+                for x in ((p * p).sum(axis=1), _entropies(p))]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = list(pool.map(run_block, zip(counts, streams)))
-    total = sum(p[0] for p in partials)
-    total_sq = sum(p[1] for p in partials)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    stderr = math.sqrt(var / samples)
-    return mean, stderr
+    out = []
+    for sums in zip(*partials):  # purity, then entropy; block totals added in block order
+        mean = sum(p[0] for p in sums) / samples
+        var = max(sum(p[1] for p in sums) / samples - mean * mean, 0.0)
+        out.append((mean, math.sqrt(var / samples)))
+    return tuple(out)
+
+
+def mean_entropy_mc(m: int, n: int, samples: int, seed: int = 0,
+                    workers: int = 1) -> tuple[float, float]:
+    """Monte Carlo estimate of <S(rho_A)> in nats, with its standard error."""
+    return sample_moments(m, n, samples, seed, workers)[1]
 
 
 def mean_purity_mc(m: int, n: int, samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of <tr rho_A^2> with its standard error."""
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"use at least {MIN_SAMPLES} samples")
-    rng = np.random.default_rng(seed)
-    vals = np.concatenate([_purities(p) for p in _spectrum_blocks(m, n, rng, samples)])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
-
-
-def sample_statistics(m: int, n: int, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Purity and entropy (nats) of each of ``samples`` draws from one stream."""
-    blocks = _spectrum_blocks(m, n, rng, samples)
-    return (np.concatenate([_purities(p) for p in blocks]),
-            np.concatenate([_entropies(p) for p in blocks]))
+    return sample_moments(m, n, samples, seed)[0]
 
 
 def log_density_constant(m: int, n: int) -> float:

@@ -141,6 +141,30 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return out
 
 
+def require_hermitian(a):
+    """Return ``a`` if it passes the test of :func:`check_hermitian`, else raise the same error.
+
+    Reads a dense ``a`` in blocks of rows of 2^16 entries and a sparse one
+    through its stored entries, so it holds no dim x dim temporary.
+    """
+    scale = asym = 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite entry is raised below
+        if isinstance(a, np.ndarray):  # not scipy.sparse.issparse: it would import scipy.sparse
+            step = max(1, 2 ** 16 // max(a.shape[1], 1))
+            blocks = ((a[i:i + step], a[i:i + step] - a[:, i:i + step].conj().T)
+                      for i in range(0, a.shape[0], step))
+        else:
+            blocks = [(a.data, (a - a.conj().T).data)]
+        for entries, diff in blocks:  # np.maximum keeps a NaN, the builtin max drops it
+            scale = np.maximum(scale, np.abs(entries).max(initial=0.0))
+            asym = np.maximum(asym, np.abs(diff).max(initial=0.0))
+    if not math.isfinite(scale):
+        raise NotHermitianError(math.nan, TOL_HERM)
+    if not asym <= TOL_HERM * max(scale, 1.0):
+        raise NotHermitianError(float(asym), TOL_HERM * max(scale, 1.0))
+    return a
+
+
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

@@ -584,14 +584,12 @@ def check_haar_statistics(tol):
     """Monte Carlo purity and entropy against the closed forms."""
     failed, msgs = [], []
     for m, n in ((2, 2), (2, 8), (4, 4)):
-        rng = np.random.default_rng(1000 + m * 10 + n)
-        purities, entropies = haar.sample_statistics(m, n, 10_000, rng)
-        for label, vals, exact in (
-            ("purity", purities, haar.mean_purity_exact(m, n)),
-            ("entropy", entropies, haar.mean_entropy_exact(m, n)),
+        purity, entropy = haar.sample_moments(m, n, 10_000, 1000 + m * 10 + n)
+        for label, (mean, err), exact in (
+            ("purity", purity, haar.mean_purity_exact(m, n)),
+            ("entropy", entropy, haar.mean_entropy_exact(m, n)),
         ):
-            err = vals.std(ddof=1) / math.sqrt(vals.size)
-            z, bad = _mc_consistency(f"({m},{n}) {label}", vals.mean(), err, exact, tol)
+            z, bad = _mc_consistency(f"({m},{n}) {label}", mean, err, exact, tol)
             failed += bad
             msgs.append(f"({m},{n}) {label} z={z:.2f}")
     rel = abs(haar.mean_entropy_exact(8, 512) - haar.mean_entropy_approx(8, 512)) / math.log(8)

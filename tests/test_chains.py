@@ -28,11 +28,30 @@ from entlab.kinetic import (
     build_h_tau_single_flip,
     build_h_tau_two_flip,
 )
-from entlab.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, lanczos_lowest
+from entlab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, SIGMA_PLUS, NotHermitianError, kron,
+                           lanczos_lowest)
 from entlab.mps import aklt_mps, cluster_mps, majumdar_ghosh_mps
 from entlab.states import DensityMatrix, PureState, random_density, von_neumann_entropy
 
 from peakmem import BOOKKEEPING, traced_peak
+
+
+def test_non_hermitian_term_lists_are_rejected_before_an_eigensolve():
+    # X + iZ has only zero eigenvalues, but eigvalsh reads one triangle as [-1, -1]
+    ham = SpinHamiltonian(2, 2, [])
+    ham.add(1.0, [(0, PAULI_X)])
+    ham.add(1j, [(0, PAULI_Z)])
+    with pytest.raises(NotHermitianError):
+        lowest_levels(ham.operator(), k=2)
+    with pytest.raises(NotHermitianError):
+        thermal_state(ham, 1.0)
+    # strictly upper triangular at dim 2048, the sparse path: Lanczos would
+    # report -4.559 and the residual check would blame the solver
+    ham = SpinHamiltonian(11, 2, [])
+    for i in range(10):
+        ham.add(1.0, [(i, SIGMA_PLUS), (i + 1, PAULI_Z)])
+    with pytest.raises(NotHermitianError):
+        ground_state(ham)
 
 
 def test_builders_are_hermitian():

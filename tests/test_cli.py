@@ -531,13 +531,20 @@ def assert_same_body(got, want, out):
             assert mine == value, key
 
 
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard ``NaN`` and ``Infinity``."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_readme_examples_print_their_recorded_json(tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text())
     seen = []
     for argv in readme_examples(tmp_path):
         assert main(["--out", str(tmp_path), *argv]) == 0, argv
         key = " ".join(argv).replace(str(tmp_path), "$OUT")
-        assert_same_body(json.loads(capsys.readouterr().out), golden[key], tmp_path)
+        assert_same_body(strict_json(capsys.readouterr().out), golden[key], tmp_path)
         seen.append(key)
     assert seen == list(golden)
 
@@ -562,6 +569,21 @@ def test_main_calls_the_command_global_once(tmp_path, monkeypatch, capsys):
         monkeypatch.undo()
     assert {cli_command(argv) for argv in commands} == {
         name[4:] for name in vars(cli) if name.startswith("cmd_")}
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("mutualinfo", "quantum", "--sites", "4", "--cut", "2", "--beta", "1e308"),
+     "simple_bound_nats"),
+    (("mutualinfo", "classical", "--sites", "6", "--cut", "3", "--coupling", "1e308",
+      "--beta", "10"), "Ising ring energies"),
+])
+def test_an_overflowing_result_is_a_numerical_failure(tmp_path, capsys, argv, key):
+    assert run(tmp_path, *argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ") and key in lines[0]
+    assert not list(tmp_path.iterdir())
 
 
 def test_negative_symmetrized_spectrum_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

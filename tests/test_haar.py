@@ -15,7 +15,7 @@ from entlab.haar import (
     mean_purity_exact,
     mean_purity_mc,
     nats_to_bits,
-    sample_statistics,
+    sample_moments,
     spectral_density,
 )
 from entlab.states import partial_trace_pure, von_neumann_entropy
@@ -111,12 +111,17 @@ def test_mc_entropy_matches_exact():
 
 
 def test_mc_estimate_independent_of_worker_count():
-    a = mean_entropy_mc(2, 2, 500, seed=3, workers=1)
-    b = mean_entropy_mc(2, 2, 500, seed=3, workers=4)
-    c = mean_entropy_mc(2, 2, 500, seed=3, workers=2)
-    assert a == b == c
+    purity, entropy = zip(*(sample_moments(2, 2, 500, 3, workers) for workers in (1, 2, 4)))
+    assert purity[0] == purity[1] == purity[2]
+    assert entropy[0] == entropy[1] == entropy[2]
+    assert mean_entropy_mc(2, 2, 500, seed=3, workers=4) == entropy[0]
     with pytest.raises(ValueError):
         mean_entropy_mc(2, 2, 50)
+
+
+def test_page_estimate_keeps_its_recorded_value():
+    # the README page example: one substream per block, population-variance error
+    assert mean_entropy_mc(2, 2, 10_000, seed=7) == (0.3320473219660983, 0.0017890384413026114)
 
 
 def test_entropy_deficiency_shrinks_with_n():
@@ -202,28 +207,25 @@ def reference_entropy(p):
     return float(-(q * np.log(q)).sum())
 
 
-def reference_entropy_mc(m, n, samples, seed):
+def reference_sample_moments(m, n, samples, seed):
+    """((purity mean, stderr), (entropy mean, stderr)), one draw at a time, block b
+    from substream b, with scalar running sums and the population variance."""
     partials = []
     for b, stream in enumerate(np.random.SeedSequence(seed).spawn(-(-samples // MC_BLOCK))):
         rng = np.random.default_rng(stream)
-        total = total_sq = 0.0
+        sums = [[0.0, 0.0], [0.0, 0.0]]
         for _ in range(min(MC_BLOCK, samples - b * MC_BLOCK)):
-            s = reference_entropy(reference_reduced_spectrum(m, n, rng))
-            total += s
-            total_sq += s * s
-        partials.append((total, total_sq))
-    mean = sum(p[0] for p in partials) / samples
-    var = max(sum(p[1] for p in partials) / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
-
-
-def reference_purity_mc(m, n, samples, seed):
-    rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
-    for i in range(samples):
-        p = reference_reduced_spectrum(m, n, rng)
-        vals[i] = float((p * p).sum())
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+            p = reference_reduced_spectrum(m, n, rng)
+            for acc, x in zip(sums, (float((p * p).sum()), reference_entropy(p))):
+                acc[0] += x
+                acc[1] += x * x
+        partials.append(sums)
+    out = []
+    for i in range(2):
+        mean = sum(p[i][0] for p in partials) / samples
+        var = max(sum(p[i][1] for p in partials) / samples - mean * mean, 0.0)
+        out.append((mean, math.sqrt(var / samples)))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 8), (4, 4), (3, 5), (5, 3), (9, 12)])
@@ -240,20 +242,10 @@ def test_reduced_spectrum_block_matches_per_draw_loop(m, n, count):
 @pytest.mark.parametrize("samples", [100, 257, 1000])
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 8), (4, 4)])
 def test_mc_estimates_match_per_sample_loops(m, n, samples):
-    assert mean_entropy_mc(m, n, samples, seed=samples) == \
-        reference_entropy_mc(m, n, samples, seed=samples)
-    assert mean_purity_mc(m, n, samples, seed=samples) == \
-        reference_purity_mc(m, n, samples, seed=samples)
-
-
-def test_sample_statistics_match_per_draw_loop():
-    for m, n in ((2, 8), (3, 5)):
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        purities, entropies = sample_statistics(m, n, 2 * MC_BLOCK + 3, rng)
-        ref = [reference_reduced_spectrum(m, n, ref_rng) for _ in range(2 * MC_BLOCK + 3)]
-        assert np.array_equal(purities, [(p * p).sum() for p in ref])
-        assert np.array_equal(entropies, [reference_entropy(p) for p in ref])
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    purity, entropy = reference_sample_moments(m, n, samples, seed=samples)
+    assert sample_moments(m, n, samples, samples) == (purity, entropy)
+    assert mean_purity_mc(m, n, samples, seed=samples) == purity
+    assert mean_entropy_mc(m, n, samples, seed=samples) == entropy
 
 
 def test_entropy_counts_zero_eigenvalues_as_zero():

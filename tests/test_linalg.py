@@ -17,6 +17,7 @@ from entlab.linalg import (
     hermitian_eig,
     kron,
     lanczos_lowest,
+    require_hermitian,
     svd,
     trace_norm,
 )
@@ -140,6 +141,33 @@ def test_check_hermitian_holds_one_output_and_one_real_temporary():
     del g
     # the output and the |A - A^dag| it is checked by; a conjugated copy would add 1.0
     assert traced_peak(check_hermitian, a) <= 1.5 * a.nbytes + BOOKKEEPING
+
+
+def test_require_hermitian_applies_the_check_hermitian_test_without_a_copy():
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    a = g + g.conj().T + 1e-11 * rng.standard_normal((300, 300))
+    for x in (a, a.real, scipy.sparse.csr_matrix(a)):
+        assert require_hermitian(x) is x
+    for x in (g, g.real, scipy.sparse.csr_matrix(g)):
+        with pytest.raises(NotHermitianError) as exc:
+            require_hermitian(x)
+        dense = x.toarray() if scipy.sparse.issparse(x) else x
+        assert exc.value.asymmetry == float(np.abs(dense - dense.conj().T).max())
+    for bad in (np.nan, np.inf):
+        x = np.eye(3)
+        x[0, 1] = x[1, 0] = bad
+        for y in (x, scipy.sparse.csr_matrix(x)):
+            with pytest.raises(NotHermitianError):
+                require_hermitian(y)
+
+
+def test_require_hermitian_holds_no_full_temporary():
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((1024, 1024))
+    a = g + g.T
+    del g
+    assert traced_peak(require_hermitian, a) <= a.nbytes / 4
 
 
 def test_hermitian_eig_bell_partial_transpose():
