@@ -351,13 +351,17 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
     info = (von_neumann_entropy(rho_a, "e") + von_neumann_entropy(rho_b, "e")
             - von_neumann_entropy(rho, "e"))
     crossing = [(c, f) for c, f in ham.terms if f and f[0][0] < cut <= f[-1][0]]
-    # the same complex product as h_boundary @ (kron - rho), holding three dim^2
-    # arrays: the difference is formed in place, rho released, h made complex once
+    # tr(h_boundary @ (kron - rho)) holding two dim^2 arrays: the difference is
+    # formed in place and rho released; the diagonal of the complex product is
+    # taken 64 rows at a time and summed as np.trace sums it, to the same bits
     product = np.kron(rho_a.matrix, rho_b.matrix)
     product -= rho.matrix
     del rho
-    h_boundary = SpinHamiltonian(n, ham.local_dim, crossing).dense().astype(complex)
-    boundary_bound = beta * float(np.trace(h_boundary @ product).real)
+    h_boundary = SpinHamiltonian(n, ham.local_dim, crossing).dense()
+    diagonal = np.empty(len(product), complex)
+    for i in range(0, len(product), 64):
+        diagonal[i:i + 64] = np.diagonal(h_boundary[i:i + 64].astype(complex) @ product, i)
+    boundary_bound = beta * float(diagonal.sum().real)
     # loose form: 2 beta |h| per boundary site, |h| the largest crossing-term norm
     norms = []
     boundary_sites = set()

@@ -285,6 +285,7 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     if not worst <= 1e-10:
         raise ValueError(f"detailed balance violated at {worst:.2e}")
     h = gen.toarray()
+    del gen  # not held while h is symmetrized
     centered = energies - energies.mean()
     d = np.exp(0.5 * model.beta * centered)
     # -(d[:, None] * gen * (1.0 / d)[None, :]) in place, in the same order

@@ -70,8 +70,10 @@ class DensityMatrix:
 
     Construction symmetrizes ``matrix`` into a fresh array and validates it
     with one ``eigvalsh``, whose ascending eigenvalues the state keeps and
-    :meth:`eigenvalues` returns.  ``matrix`` and that spectrum are read-only;
-    the caller's input array is never modified.
+    :meth:`eigenvalues` returns.  A float64 input is validated in float64 and
+    only then cast, to the bits its complex cast gives; other dtypes are cast
+    first.  ``matrix`` (complex) and the spectrum are read-only; the caller's
+    input array is never modified.
     """
 
     dims: tuple[int, ...]
@@ -80,11 +82,20 @@ class DensityMatrix:
 
     def __init__(self, dims, matrix, tol: float = 1e-10):
         dims = tuple(int(d) for d in dims)
-        matrix = np.asarray(matrix, dtype=complex)
-        d = int(np.prod(dims))
+        matrix = np.asarray(matrix)
+        d = math.prod(dims)
         if matrix.shape != (d, d):
             raise ValueError("matrix shape does not match local dims")
-        matrix = check_hermitian(matrix, tol)
+        if matrix.dtype == float:  # symmetrized in float64, then cast: the complex path's bits
+            # allocated before the float64 copy: glibc malloc puts that copy above it, and
+            # once freed its space joins the end of the heap, where eigvalsh copies to
+            cast = np.empty((d, d), complex)
+            matrix = check_hermitian(matrix, tol)
+            matrix += 0.0  # a -0.0 sum becomes +0.0, as in the complex division by 2
+            cast[...] = matrix
+            matrix = cast
+        else:
+            matrix = check_hermitian(matrix.astype(complex, copy=False), tol)
         tr = np.trace(matrix).real
         if not abs(tr - 1.0) <= tol:
             raise ValueError(f"trace must be one, got {tr}")

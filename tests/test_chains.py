@@ -31,7 +31,8 @@ from entlab.kinetic import (
 from entlab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, SIGMA_PLUS, NotHermitianError, kron,
                            lanczos_lowest)
 from entlab.mps import aklt_mps, cluster_mps, majumdar_ghosh_mps
-from entlab.states import DensityMatrix, PureState, random_density, von_neumann_entropy
+from entlab.states import (DensityMatrix, PureState, partial_trace, random_density,
+                           von_neumann_entropy)
 
 from peakmem import BOOKKEEPING, traced_peak
 
@@ -304,12 +305,27 @@ def test_mutual_info_area_check_values_are_unchanged():
         (0.19449310394059172, 0.40624782303664864, 2.0)
 
 
-def test_mutual_info_area_check_holds_three_full_arrays():
-    # the boundary product h @ (kron - rho) needs its two operands and its result,
-    # complex 1024^2 arrays; everything else is freed or formed in place by then
+def test_mutual_info_area_check_holds_two_full_arrays():
+    # rho and kron(rho_a, rho_b), complex 1024^2 arrays, before the difference is
+    # formed in place; the boundary trace then holds it, a real h and 64-row blocks
     full = 1024 ** 2 * 16
     peak = traced_peak(mutual_info_area_check, build_xy(1.0, 1.0, 10), 1.0, 5)
-    assert peak <= 3 * full + BOOKKEEPING
+    assert peak <= 2 * full + BOOKKEEPING
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_boundary_trace_is_bitwise_the_trace_of_the_full_product(n):
+    # the diagonal of h @ (kron - rho) taken in row blocks against np.trace of the
+    # whole product, as the bound was computed before
+    ham = build_xy(1.0, 1.0, n)
+    rho = thermal_state(ham, 1.0)
+    for cut in (2, n // 2):
+        crossing = [(c, f) for c, f in ham.terms if f[0][0] < cut <= f[-1][0]]
+        h = SpinHamiltonian(n, 2, crossing).dense().astype(complex)
+        product = kron(partial_trace(rho, range(cut)).matrix,
+                       partial_trace(rho, range(cut, n)).matrix) - rho.matrix
+        assert mutual_info_area_check(ham, 1.0, cut)[1] == \
+            float(np.trace(h @ product).real)
 
 
 def test_mutual_info_area_check_diagonalizes_the_full_state_twice(monkeypatch):

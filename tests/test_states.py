@@ -30,6 +30,8 @@ from entlab.states import (
     von_neumann_entropy,
 )
 
+from peakmem import BOOKKEEPING, traced_peak
+
 
 def product_state(*locals_):
     amp = locals_[0]
@@ -327,6 +329,39 @@ def test_density_matrix_arrays_are_read_only():
         rho.eigenvalues()[0] = 1.0
     source[0, 0] = 1.0  # the caller's array is copied, not frozen
     assert rho.matrix[0, 0] == 0.25
+
+
+def test_a_real_input_and_its_complex_cast_give_the_same_state():
+    # float64 is symmetrized in float64, other dtypes as complex; the imaginary
+    # parts come out +0.0 either way, so matrix and spectrum keep their bits
+    rng = np.random.default_rng(43)
+    cases = []
+    for dims in ((2,), (2, 3), (2,) * 6):
+        d = int(np.prod(dims))
+        g = rng.standard_normal((d, d))
+        a = np.eye(d) + 0.1 / d * (g @ g.T) + 1e-13 * rng.standard_normal((d, d))
+        i, j = np.indices((d, d))
+        a[(i != j) & ((i + j) % 5 == 1)] = -0.0  # diagonally dominant, so still PSD
+        cases.append((dims, a / np.trace(a)))
+    cases.append(((2,) * 8, thermal_state(build_xy(1.0, 1.0, 8), 1.0).matrix.real.copy()))
+    cases.append(((2,), np.array([[1, 0], [0, 0]])))
+    cases.append(((2,), np.array([[0.25, 0.1], [0.1, 0.75]], dtype=np.float32)))
+    for dims, a in cases:
+        real, cast = DensityMatrix(dims, a), DensityMatrix(dims, a.astype(complex))
+        assert real.matrix.dtype == complex
+        assert real.matrix.tobytes() == cast.matrix.tobytes()
+        assert real.eigenvalues().tobytes() == cast.eigenvalues().tobytes()
+
+
+def test_density_matrix_holds_three_real_arrays_for_a_real_input():
+    # the symmetrized float64 copy and its complex cast; a complex copy of the input
+    # made first, and a full |A| or |A - A^dag| beside it, would add 2.0 more
+    rng = np.random.default_rng(47)
+    g = rng.standard_normal((1024, 1024))
+    a = g @ g.T
+    del g
+    a /= np.trace(a)
+    assert traced_peak(DensityMatrix, (2,) * 10, a) <= 3 * a.nbytes + BOOKKEEPING
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
