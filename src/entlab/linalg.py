@@ -3,10 +3,9 @@
 Everything downstream (states, measures, spin chains, kinetic models) is built
 on plain numpy arrays for dense operators and state vectors, and scipy sparse
 matrices for large Hamiltonians.  This module collects the small set of
-numerical kernels they all share: Kronecker products, SVD, Hermitian
-eigensolves with a symmetrization guard, trace norms, and a deflated Lanczos
-solver with full re-orthogonalization for the lowest part of large sparse
-spectra.
+numerical kernels they all share: Kronecker products, SVD, the Hermiticity
+check, trace norms, and a deflated Lanczos solver with full
+re-orthogonalization for the lowest part of large sparse spectra.
 
 Conventions
 -----------
@@ -172,15 +171,6 @@ def _hermitian_test(a, tol: float, adjoint=None) -> None:
         asym = np.abs((a - a.conj().T).data).max(initial=0.0)
     if not asym <= tol * max(scale, 1.0):
         raise NotHermitianError(float(asym), tol * max(scale, 1.0))
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, V)`` with eigenvalues ascending and orthonormal eigenvector
-    columns, after the Hermiticity check of :func:`check_hermitian`.
-    """
-    return np.linalg.eigh(check_hermitian(a))
 
 
 def trace_norm(a: np.ndarray) -> float:

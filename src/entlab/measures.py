@@ -24,11 +24,12 @@ is equivalent to a PSD Choi matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_hermitian, hermitian_eig, kron, trace_norm
+from .linalg import check_hermitian, kron, trace_norm
 from .states import (
     DensityMatrix,
     PureState,
@@ -46,7 +47,7 @@ from .states import (
 
 def negativity(rho: DensityMatrix, cut: int = 1) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    w = np.linalg.eigvalsh(check_hermitian(partial_transpose(rho, "B", cut)))
+    w = np.linalg.eigvalsh(partial_transpose(rho, "B", cut))
     return float(-w[w < 0].sum())
 
 
@@ -84,7 +85,7 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     # and A = V sqrt(D) comes from the clamped Hermitian eigendecomposition.
     # This is the same multiset as the nested-square-root formula but does not
     # amplify rank-deficiency noise through sqrt(0).
-    w, v = hermitian_eig(rho.matrix)
+    w, v = np.linalg.eigh(rho.matrix)
     keep = w > 1e-14 * w[-1]
     a = v[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
     s = a.T @ yy @ a
@@ -138,13 +139,10 @@ class Witness:
 
 
 def witness_value(w: Witness, rho: DensityMatrix) -> float:
-    """tr(W rho); real for Hermitian W."""
+    """tr(W rho); W and rho were verified Hermitian, so its imaginary part is roundoff."""
     if rho.dim != w.operator.shape[0]:
         raise ValueError("dimension mismatch")
-    val = complex(np.trace(w.operator @ rho.matrix))
-    if abs(val.imag) > 1e-10:
-        raise ValueError("witness value came out complex")
-    return float(val.real)
+    return float(np.trace(w.operator @ rho.matrix).real)
 
 
 def witness_from_npt(rho: DensityMatrix, cut: int = 1) -> Witness:
@@ -153,12 +151,11 @@ def witness_from_npt(rho: DensityMatrix, cut: int = 1) -> Witness:
     Satisfies tr(W rho) = lambda_min < 0 by construction.  Raises on PPT
     input, where no such witness is derivable.
     """
-    pt = check_hermitian(partial_transpose(rho, "B", cut))
-    w, v = np.linalg.eigh(pt)
+    w, v = np.linalg.eigh(partial_transpose(rho, "B", cut))
     if w[0] >= -1e-10:
         raise ValueError("no NPT witness derivable: state has PPT")
     vec = v[:, 0]
-    da = int(np.prod(rho.dims[:cut]))
+    da = math.prod(rho.dims[:cut])
     db = rho.dim // da
     op = partial_transpose_matrix(np.outer(vec, vec.conj()), da, db, "B")
     return Witness(op, (da, db))

@@ -14,7 +14,6 @@ from entlab.linalg import (
     PAULI_Y,
     PAULI_Z,
     check_hermitian,
-    hermitian_eig,
     kron,
     lanczos_lowest,
     require_hermitian,
@@ -70,29 +69,10 @@ def test_svd_reconstruction_random():
         assert np.all(np.diff(s) <= 1e-12)
 
 
-def test_hermitian_eig_paulis():
-    w, _ = hermitian_eig(PAULI_Z)
-    assert np.allclose(w, [-1, 1])
-    w, _ = hermitian_eig(PAULI_X)
-    assert np.allclose(w, [-1, 1])
-
-
-def test_hermitian_eig_trace_and_gram():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = rng.integers(2, 40)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = a + a.conj().T
-        w, v = hermitian_eig(a)
-        assert abs(w.sum() - np.trace(a).real) <= 1e-10 * max(1, abs(np.trace(a)))
-        assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10
-        assert np.abs(a @ v - v * w).max() <= 1e-9 * max(1.0, np.abs(w).max())
-
-
-def test_hermitian_eig_rejects_asymmetric():
+def test_check_hermitian_rejects_asymmetric():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitianError) as exc:
-        hermitian_eig(a)
+        check_hermitian(a)
     assert exc.value.asymmetry == pytest.approx(1.0)
     a = np.random.default_rng(3).standard_normal((9, 18)).view(complex)
     kept = a.copy()
@@ -170,14 +150,6 @@ def test_require_hermitian_holds_no_full_temporary():
     a = g + g.T
     del g
     assert traced_peak(require_hermitian, a) <= a.nbytes / 4
-
-
-def test_hermitian_eig_bell_partial_transpose():
-    # partial transpose of the 2x2 maximally entangled projector is SWAP/2
-    swap = np.zeros((4, 4))
-    swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    w, _ = hermitian_eig(swap / 2)
-    assert np.allclose(np.sort(w), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_trace_norm():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entlab.linalg import kron
+from entlab.linalg import check_hermitian, kron, trace_norm
 from entlab.measures import (
     QuantumMap,
     Witness,
@@ -175,6 +175,81 @@ def test_witness_from_npt_werner_family():
         assert witness_value(wit, rho) == pytest.approx((1 - 3 * p) / 4, abs=1e-10)
     with pytest.raises(ValueError):
         witness_from_npt(werner_like(0.2))
+
+
+def same_float(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def checked_measures(rho):
+    """negativity, log_negativity, is_ppt, concurrence_2q, eof_2q and the
+    witness_from_npt operator with every derived matrix passed through
+    check_hermitian before its eigensolve."""
+    da = rho.dims[0]
+    pt_b = check_hermitian(partial_transpose(rho, "B"))
+    w_b = np.linalg.eigvalsh(pt_b)
+    w_a = np.linalg.eigvalsh(check_hermitian(partial_transpose(rho, "A")))
+    out = {"negativity": float(-w_b[w_b < 0].sum()),
+           "log_negativity": float(np.log2(trace_norm(partial_transpose(rho, "B")))),
+           "is_ppt": (bool(w_a[0] >= -1e-10), float(w_a[0]))}
+    w, v = np.linalg.eigh(pt_b)
+    if w[0] < -1e-10:
+        op = partial_transpose_matrix(np.outer(v[:, 0], v[:, 0].conj()), da, rho.dim // da, "B")
+        out["witness"] = check_hermitian(np.asarray(op, dtype=complex))
+    if rho.dims == (2, 2):
+        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        yy = kron(sy, sy)
+        w, v = np.linalg.eigh(check_hermitian(rho.matrix))
+        keep = w > 1e-14 * w[-1]
+        a = v[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
+        lam = np.zeros(4)
+        sv = np.linalg.svd(a.T @ yy @ a, compute_uv=False)
+        lam[: sv.size] = sv
+        lam.sort()
+        lam = lam[::-1]
+        c = float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+        out["concurrence_2q"] = c
+        out["eof_2q"] = binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_measures_are_bitwise_those_of_rechecked_partial_transposes(dims):
+    rng = np.random.default_rng(40 + dims[0] * dims[1])
+    states = [random_density(dims, rng) for _ in range(20)]
+    states += [random_density(dims, rng, rank=1) for _ in range(10)]
+    states += [random_pure(dims, rng).projector() for _ in range(10)]
+    states += [random_separable(*dims, rng) for _ in range(10)]
+    witnesses = 0
+    for rho in states:
+        ref = checked_measures(rho)
+        assert same_float(negativity(rho), ref["negativity"])
+        assert same_float(log_negativity(rho), ref["log_negativity"])
+        verdict, low = is_ppt(rho)
+        assert verdict == ref["is_ppt"][0] and same_float(low, ref["is_ppt"][1])
+        if "witness" in ref:
+            op = witness_from_npt(rho).operator
+            assert op.tobytes() == ref["witness"].tobytes()
+            witnesses += 1
+        else:
+            with pytest.raises(ValueError):
+                witness_from_npt(rho)
+        if dims == (2, 2):
+            assert same_float(concurrence_2q(rho), ref["concurrence_2q"])
+            assert same_float(eof_2q(rho), ref["eof_2q"])
+    assert witnesses >= 20  # the pure and rank-one states are NPT
+
+
+def test_scaled_witness_value_is_real_and_scales():
+    rng = np.random.default_rng(41)
+    psi = random_pure((2, 3), rng)
+    w = witness_from_npt(psi.projector())
+    scaled = Witness(1e8 * w.operator, (2, 3))
+    for _ in range(200):
+        rho = random_density((2, 3), rng)
+        value = witness_value(scaled, rho)
+        assert type(value) is float
+        assert value == pytest.approx(1e8 * witness_value(w, rho), rel=1e-12)
 
 
 def test_swap_witness_misses_max_entangled():

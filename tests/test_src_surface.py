@@ -171,3 +171,46 @@ def test_an_unset_parameter_is_reported(tmp_path):
     readme.write_text("`documented` is public API.\n")
     assert unset_parameters(tmp_path, readme) == [
         "a.py:helper(never)", "a.py:K(y)", "a.py:K.twice(times)", "a.py:K.make(n)"]
+
+
+# the only functions that may name each Hermiticity check: check_hermitian where a
+# matrix enters a state, map or witness, and on the generator kinetic.symmetrize
+# computes; require_hermitian on each assembled Hamiltonian.  Nothing derived from
+# a validated object is checked again.
+HERMITIAN_CHECK_CALLERS = {
+    "check_hermitian": {"states.py:DensityMatrix.__init__", "measures.py:QuantumMap.__init__",
+                        "measures.py:Witness.__init__", "kinetic.py:symmetrize"},
+    "require_hermitian": {"chains.py:SpinHamiltonian.operator", "chains.py:thermal_state"},
+}
+
+
+def callers(names, src: Path = SRC) -> dict[str, set[str]]:
+    """For each of ``names``, the top-level functions and methods that read it;
+    ``<module>`` stands for a module-level statement other than an import."""
+    out = {name: set() for name in names}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = list(_functions(tree)) + [
+            ("<module>", node) for node in tree.body if not isinstance(
+                node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+        for qualname, node in scopes:
+            refs = _references(node)
+            for name in names:
+                if refs[name]:
+                    out[name].add(f"{path.name}:{qualname}")
+    return out
+
+
+def test_each_matrix_is_checked_for_hermiticity_where_it_enters():
+    assert callers(HERMITIAN_CHECK_CALLERS) == HERMITIAN_CHECK_CALLERS
+
+
+def test_a_hermiticity_check_on_a_derived_matrix_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .linalg import check_hermitian\n\n"
+        "class State:\n    def __init__(self, m):\n        self.m = check_hermitian(m)\n\n"
+        "def negativity(s):\n    return eig(check_hermitian(s.m.T))\n\n"
+        "CHECK = check_hermitian\n")
+    assert callers(["check_hermitian", "require_hermitian"], tmp_path) == {
+        "check_hermitian": {"a.py:State.__init__", "a.py:negativity", "a.py:<module>"},
+        "require_hermitian": set()}
