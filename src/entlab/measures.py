@@ -18,8 +18,9 @@ are converted on construction); the Choi normalization used throughout is
     choi(Lambda) = (I (x) Lambda)(d * P_plus)  =  sum_ij |i><j| (x) Lambda(|i><j|)
 
 so that the Choi matrix of the identity map has trace d and Kraus extraction
-from the Choi eigendecomposition needs no extra scalars.  Complete positivity
-is equivalent to a PSD Choi matrix.
+from the Choi eigendecomposition needs no extra scalars.  A map is applied as
+1 (x) Lambda by calling it.  Complete positivity is equivalent to a PSD Choi
+matrix, tested on the Choi spectrum each map keeps from its construction.
 """
 
 from __future__ import annotations
@@ -111,20 +112,21 @@ def eof_2q(rho: DensityMatrix) -> float:
 class Witness:
     """Hermitian observable detecting entanglement by a negative mean value.
 
-    Construction verifies the operator is Hermitian and has at least one
-    negative eigenvalue, and spot-checks nonnegativity on the same 50 random
-    separable states, drawn from seed 0, for every witness (a sanity check,
-    not a proof of witness-hood).
+    Construction verifies the operator's shape, that it is Hermitian and has at
+    least one negative eigenvalue, and spot-checks nonnegativity on the same 50
+    random separable states, drawn from seed 0, for every witness (a sanity
+    check, not a proof of witness-hood).
     """
 
     operator: np.ndarray
     dims: tuple[int, int]
 
     def __init__(self, operator, dims):
-        operator = check_hermitian(np.asarray(operator, dtype=complex))
+        operator = np.asarray(operator, dtype=complex)
         dims = (int(dims[0]), int(dims[1]))
-        if operator.shape[0] != dims[0] * dims[1]:
+        if operator.shape != (dims[0] * dims[1],) * 2:
             raise ValueError("operator shape does not match dims")
+        operator = check_hermitian(operator)
         w = np.linalg.eigvalsh(operator)
         if w[0] >= -1e-12:
             raise ValueError("a witness must have a negative eigenvalue")
@@ -182,12 +184,14 @@ class QuantumMap:
     weights) or a ``choi`` matrix, together with input/output dimensions.
     Kraus pairs are converted once, ``choi = sum_i eta_i |v_i><v_i|`` with
     ``v_i = V_i^T`` flattened.  ``choi`` is the symmetrized matrix of the
-    Hermiticity check, read-only.
+    Hermiticity check, ``choi_spectrum`` its ascending eigenvalues from one
+    ``eigvalsh``, both read-only.  Calling the map applies 1 (x) Lambda.
     """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
+    choi_spectrum: np.ndarray
 
     def __init__(self, dim_in, dim_out, kraus_pairs=None, choi=None):
         if (kraus_pairs is None) == (choi is None):
@@ -205,18 +209,24 @@ class QuantumMap:
         if choi.shape != (dim_in * dim_out, dim_in * dim_out):
             raise ValueError("Choi matrix has wrong dimension")
         choi = check_hermitian(choi)  # Hermiticity-preserving maps only
+        w = np.linalg.eigvalsh(choi)
         choi.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "dim_in", dim_in)
         object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "choi", choi)
+        object.__setattr__(self, "choi_spectrum", w)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Lambda(X) = tr_in[ choi (X^T (x) 1_out) ]."""
+        """(1 (x) Lambda)(X) for X on C^da (x) C^dim_in; Lambda(X) at da = 1."""
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim_in, self.dim_in):
-            raise ValueError("input operator has wrong dimension")
-        c = self.choi.reshape(self.dim_in, self.dim_out, self.dim_in, self.dim_out)
-        return np.einsum("iajb,ij->ab", c, x)
+        n = self.dim_in
+        if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % n:
+            raise ValueError("input operator side must be a multiple of dim_in")
+        da = x.shape[0] // n
+        c = self.choi.reshape(n, self.dim_out, n, self.dim_out)
+        out = np.einsum("kalb,ikjl->iajb", c, x.reshape(da, n, da, n))
+        return out.reshape(da * self.dim_out, da * self.dim_out)
 
 
 def transposition_map(d: int) -> QuantumMap:
@@ -239,22 +249,10 @@ def reduction_map(d: int) -> QuantumMap:
     return QuantumMap(d, d, choi=np.eye(d * d) - np.outer(e, e))
 
 
-def apply_map(qmap: QuantumMap, rho: DensityMatrix) -> np.ndarray:
-    """(I (x) Lambda)(rho), with Lambda acting on B, every subsystem but the first."""
-    da = rho.dims[0]
-    db = rho.dim // da
-    if qmap.dim_in != db:
-        raise ValueError("map input dimension does not match subsystem B")
-    c = qmap.choi.reshape(db, qmap.dim_out, db, qmap.dim_out)
-    out = np.einsum("kalb,ikjl->iajb", c, rho.matrix.reshape(da, db, da, db))
-    return out.reshape(da * qmap.dim_out, da * qmap.dim_out)
-
-
 def is_completely_positive(qmap: QuantumMap, tol: float = 1e-9) -> bool:
-    """Choi-PSD test; the threshold scales with the Choi trace."""
-    w = np.linalg.eigvalsh(qmap.choi)
+    """Choi-PSD test on the kept spectrum; the threshold scales with the Choi trace."""
     scale = max(abs(np.trace(qmap.choi).real), 1.0)
-    return bool(w[0] >= -tol * scale)
+    return bool(qmap.choi_spectrum[0] >= -tol * scale)
 
 
 def kraus_operators(qmap: QuantumMap, tol: float = 1e-12) -> list[np.ndarray]:

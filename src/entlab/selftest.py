@@ -145,17 +145,16 @@ def positive_maps(d: int, seed, tol=TOLERANCES) -> Outcome:
     psd = tol["choi_psd"]
     red = measures.reduction_map(d)
     plus = states.max_entangled(d).projector()
-    out = measures.apply_map(red, plus)
-    detect = float(np.linalg.eigvalsh(out)[0])
-    choi_red = float(np.linalg.eigvalsh(red.choi)[0])
+    detect = float(np.linalg.eigvalsh(red(plus.matrix))[0])
+    choi_red = float(red.choi_spectrum[0])
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     u, _ = np.linalg.qr(g)
     uni = measures.unitary_conjugation_map(u)
-    choi_uni = float(np.linalg.eigvalsh(uni.choi)[0])
+    choi_uni = float(uni.choi_spectrum[0])
     lifted = [kron(np.eye(d), k) for k in measures.kraus_operators(uni)]
     via_kraus = sum(k @ plus.matrix @ k.conj().T for k in lifted)
-    kraus_dev = float(np.abs(via_kraus - measures.apply_map(uni, plus)).max())
+    kraus_dev = float(np.abs(via_kraus - uni(plus.matrix)).max())
     values = {
         "d": d,
         "reduction_detection_min_eig": detect,

@@ -1,11 +1,13 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from entlab import selftest
 from entlab.linalg import check_hermitian, kron, trace_norm
 from entlab.measures import (
     QuantumMap,
     Witness,
-    apply_map,
     binary_entropy,
     concurrence_2q,
     concurrence_pure,
@@ -156,6 +158,13 @@ def test_witness_requires_negative_eigenvalue():
         Witness(np.eye(4), (2, 2))
 
 
+def test_witness_checks_its_shape_before_hermiticity():
+    # a non-square operator would reach the Hermiticity test and fail to broadcast there
+    for op in (np.ones((4, 2)), np.ones(4), np.eye(6)):
+        with pytest.raises(ValueError, match="operator shape does not match dims"):
+            Witness(op, (2, 2))
+
+
 def test_witness_from_npt_bell():
     rho = bell_state().projector()
     w = witness_from_npt(rho)
@@ -262,14 +271,14 @@ def test_apply_map_identity_and_transposition():
     rng = np.random.default_rng(9)
     rho = random_density((2, 3), rng)
     ident = unitary_conjugation_map(np.eye(3))
-    assert np.allclose(apply_map(ident, rho), rho.matrix, atol=1e-12)
+    assert np.allclose(ident(rho.matrix), rho.matrix, atol=1e-12)
     t = transposition_map(3)
-    assert np.allclose(apply_map(t, rho), partial_transpose(rho, "B"), atol=1e-12)
+    assert np.allclose(t(rho.matrix), partial_transpose(rho, "B"), atol=1e-12)
 
 
 def test_reduction_map_detects_max_entangled():
     for d in range(2, 6):
-        out = apply_map(reduction_map(d), max_entangled(d).projector())
+        out = reduction_map(d)(max_entangled(d).projector().matrix)
         w = np.linalg.eigvalsh(out)
         assert w[0] == pytest.approx((1 - d) / d, abs=1e-10)
         assert w[0] < 0
@@ -378,11 +387,88 @@ def test_apply_map_equals_the_blockwise_loop():
         if db == 3:
             maps.append(unitary_conjugation_map(u))
         for qmap in maps:
+            # Lambda(X) on one block by its own einsum, a second route frozen here
+            c = qmap.choi.reshape(db, db, db, db)
             loop = np.zeros((da, db, da, db), dtype=complex)
             for i in range(da):
                 for j in range(da):
-                    loop[i, :, j, :] = qmap(t[i, :, j, :])
-            assert np.array_equal(apply_map(qmap, rho), loop.reshape(da * db, da * db))
+                    loop[i, :, j, :] = np.einsum("iajb,ij->ab", c, t[i, :, j, :])
+            assert np.array_equal(qmap(rho.matrix), loop.reshape(da * db, da * db))
+
+
+def test_a_map_rejects_an_input_whose_side_is_no_multiple_of_dim_in():
+    qmap = reduction_map(3)
+    for x in (np.array(1.0), np.ones(9), np.ones((3, 6)), np.ones((4, 4)), np.ones((3, 3, 3))):
+        with pytest.raises(ValueError, match="multiple of dim_in"):
+            qmap(x)
+
+
+def test_choi_spectrum_is_read_only_and_the_eigvalsh_of_choi():
+    rng = np.random.default_rng(32)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    pairs = [(eta, rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+             for eta in (0.5, -1.25)]
+    for qmap in (reduction_map(3), transposition_map(4), unitary_conjugation_map(u),
+                 QuantumMap(3, 2, kraus_pairs=pairs)):
+        assert np.array_equal(qmap.choi_spectrum, np.linalg.eigvalsh(qmap.choi))
+        with pytest.raises(ValueError):
+            qmap.choi_spectrum[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            qmap.choi_spectrum = np.zeros(qmap.choi.shape[0])
+
+
+def frozen_map_application(qmap, rho):
+    """(1 (x) Lambda)(rho) by the blockwise einsum over rho's first factor, a fixed reference."""
+    da = rho.dims[0]
+    db = rho.dim // da
+    c = qmap.choi.reshape(db, qmap.dim_out, db, qmap.dim_out)
+    out = np.einsum("kalb,ikjl->iajb", c, rho.matrix.reshape(da, db, da, db))
+    return out.reshape(da * qmap.dim_out, da * qmap.dim_out)
+
+
+def reference_positive_map_values(d, seed):
+    """The values of selftest.positive_maps, each Choi matrix diagonalized by its own eigvalsh."""
+    psd = selftest.TOLERANCES["choi_psd"]
+
+    def cp(qmap):
+        scale = max(abs(np.trace(qmap.choi).real), 1.0)
+        return bool(np.linalg.eigvalsh(qmap.choi)[0] >= -psd * scale)
+
+    red = reduction_map(d)
+    plus = max_entangled(d).projector()
+    detect = float(np.linalg.eigvalsh(frozen_map_application(red, plus))[0])
+    choi_red = float(np.linalg.eigvalsh(red.choi)[0])
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    uni = unitary_conjugation_map(u)
+    choi_uni = float(np.linalg.eigvalsh(uni.choi)[0])
+    lifted = [kron(np.eye(d), k) for k in kraus_operators(uni)]
+    via_kraus = sum(k @ plus.matrix @ k.conj().T for k in lifted)
+    return {"d": d, "reduction_detection_min_eig": detect, "choi_reduction_min_eig": choi_red,
+            "choi_unitary_min_eig": choi_uni, "transposition_cp": cp(transposition_map(d)),
+            "reduction_cp": cp(red),
+            "kraus_deviation": float(np.abs(via_kraus - frozen_map_application(uni, plus)).max())}
+
+
+def test_positive_maps_values_are_bitwise_those_of_the_reference():
+    for d in range(2, 7):
+        for seed in range(3):
+            assert repr(selftest.positive_maps(d, seed).values) == \
+                repr(reference_positive_map_values(d, seed))
+
+
+def test_positive_maps_diagonalizes_each_matrix_once(monkeypatch):
+    # the state's validation, the detection spectrum, one eigvalsh per map at
+    # construction (reduction, unitary, transposition) and the Kraus eigh
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original, _n=name, **kw:
+                            solves.append(_n) or _f(a, *args, **kw))
+    for seed in range(3):
+        solves.clear()
+        selftest.positive_maps(3, seed)
+        assert sorted(solves) == ["eigh"] + ["eigvalsh"] * 5
 
 
 def test_choi_psd_iff_cp():

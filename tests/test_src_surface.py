@@ -214,3 +214,38 @@ def test_a_hermiticity_check_on_a_derived_matrix_is_reported(tmp_path):
     assert callers(["check_hermitian", "require_hermitian"], tmp_path) == {
         "check_hermitian": {"a.py:State.__init__", "a.py:negativity", "a.py:<module>"},
         "require_hermitian": set()}
+
+
+# the only function that diagonalizes a map's Choi matrix after construction: Kraus
+# extraction needs the eigenvectors.  Every other reader takes the spectrum a
+# QuantumMap keeps from its one eigvalsh.
+CHOI_EIGENSOLVERS = {"measures.py:kraus_operators"}
+
+
+def choi_eigensolvers(src: Path = SRC) -> set[str]:
+    """The top-level functions and methods that pass some ``<x>.choi`` to ``eigh`` or
+    ``eigvalsh``, by position or by keyword."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        for qualname, fn in _functions(ast.parse(path.read_text())):
+            calls = _calls([fn])
+            for call in calls.get("eigh", []) + calls.get("eigvalsh", []):
+                if any(isinstance(a, ast.Attribute) and a.attr == "choi"
+                       for a in call.args + [k.value for k in call.keywords]):
+                    out.add(f"{path.name}:{qualname}")
+    return out
+
+
+def test_only_kraus_extraction_diagonalizes_a_choi_matrix_again():
+    assert choi_eigensolvers() == CHOI_EIGENSOLVERS
+
+
+def test_a_repeated_choi_eigensolve_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\nfrom numpy.linalg import eigh\n\n"
+        "class Map:\n    def __init__(self, choi):\n        self.w = np.linalg.eigvalsh(choi)\n\n"
+        "    def again(self):\n        return np.linalg.eigvalsh(self.choi)\n\n"
+        "def kraus(q):\n    return eigh(q.choi)\n\n"
+        "def by_keyword(q):\n    return np.linalg.eigvalsh(a=q.choi)\n\n"
+        "def of_a_state(rho):\n    return np.linalg.eigvalsh(rho.matrix)\n")
+    assert choi_eigensolvers(tmp_path) == {"a.py:Map.again", "a.py:kraus", "a.py:by_keyword"}
