@@ -237,8 +237,8 @@ def lowest_levels(op, k: int = 1, seed: int = 0, vectors: bool = False):
     :meth:`SpinHamiltonian.operator` builds them.  With ``vectors`` it returns
     (energies, eigenvector columns) after verifying their residuals.
     """
-    if k > op.shape[0]:  # lanczos_lowest raises the same; eigvalsh would return fewer
-        raise ValueError("k exceeds operator dimension")
+    if not 1 <= k <= op.shape[0]:  # as lanczos_lowest; eigvalsh(op)[:k] would slice silently
+        raise ValueError("k must be >= 1" if k < 1 else "k exceeds operator dimension")
     if isinstance(op, np.ndarray):
         if not vectors:
             return np.linalg.eigvalsh(op)[:k]

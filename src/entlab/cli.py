@@ -9,6 +9,10 @@ the first failed check on stderr, writes the run's manifest JSON whenever a
 verdict was reached, and prints the values as JSON when nothing failed.
 Identical (config, seed) pairs produce byte-identical CSV bodies.
 
+A command with actions (``measures``, ``mps``, ``mutualinfo``, ``kinetic``)
+declares each action as a nested subcommand that accepts only the options
+its experiment reads; any other option exits 2 at parse time.
+
 ``main`` builds the tolerance table once, the defaults of
 :data:`entlab.selftest.TOLERANCES` with the ``--tol`` overrides applied; the
 experiment reads its thresholds from it and the manifest records it, so only
@@ -89,7 +93,7 @@ def write_manifest(path: Path, command: str, args, tol) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_measures(args, outdir: Path, tol) -> Outcome:
-    return selftest.maxent_measures(2 if args.state == "bell" else args.d, tol)
+    return selftest.maxent_measures(args.d, tol)
 
 
 def cmd_witness(args, outdir: Path, tol) -> Outcome:
@@ -109,11 +113,10 @@ def cmd_lubkin(args, outdir: Path, tol) -> Outcome:
 
 
 def cmd_mps(args, outdir: Path, tol) -> Outcome:
-    if args.action == "roundtrip":
-        return selftest.mps_roundtrip(args.sites, args.dmax, args.seed, tol)
-    if args.action == "truncate":
-        return selftest.mps_truncate(args.sites, args.dmax, args.seed, tol)
-    return selftest.named_state(args.state, args.sites, tol, save=args.save)
+    if args.action == "named":
+        return selftest.named_state(args.state, args.sites, tol, save=args.save)
+    run = selftest.mps_roundtrip if args.action == "roundtrip" else selftest.mps_truncate
+    return run(args.sites, args.dmax, args.seed, tol)
 
 
 def cmd_classical_superposition(args, outdir: Path, tol) -> Outcome:
@@ -239,9 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measures", help="closed-form entanglement measures")
-    p.add_argument("state", choices=["bell", "maxent"])
-    p.add_argument("--d", type=int, default=3)
     p.set_defaults(fn=cmd_measures)
+    states = p.add_subparsers(dest="state", required=True)
+    states.add_parser("bell", help="the two-qubit Bell state").set_defaults(d=2)
+    p = states.add_parser("maxent", help="the maximally entangled state of two qudits")
+    p.add_argument("--d", type=int, default=3)
 
     p = sub.add_parser("witness", help="witness from a partial transpose")
     p.add_argument("--p", type=_finite_float, default=1.0, help="mixing weight of the target")
@@ -262,12 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("mps", help="matrix product state engine")
-    p.add_argument("action", choices=["roundtrip", "named", "truncate"])
-    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=8)
-    p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--state", default="ghz")
-    p.add_argument("--save", default=None, help="write the MPS as JSON")
     p.set_defaults(fn=cmd_mps)
+    actions = p.add_subparsers(dest="action", required=True)
+    roundtrip = actions.add_parser("roundtrip", help="random state to MPS and back")
+    named = actions.add_parser("named", help="named state checked by its defining property")
+    truncate = actions.add_parser("truncate", help="random state's MPS truncated to --dmax")
+    for p in (roundtrip, named, truncate):
+        p.add_argument("--sites", type=_int_at_least(1, "sites"), default=8)
+    for p in (roundtrip, truncate):
+        p.add_argument("--dmax", type=int, default=None)
+    named.add_argument("--state", choices=sorted(selftest.NAMED_STATES), default="ghz")
+    named.add_argument("--save", default=None, help="write the MPS as JSON")
 
     p = sub.add_parser("classical-superposition",
                        help="thermal superposition state and its parent kernel")
@@ -289,14 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_arealaw)
 
     p = sub.add_parser("mutualinfo", help="mutual-information area laws")
-    p.add_argument("kind", choices=["quantum", "classical"])
-    p.add_argument("--sites", type=_int_at_least(1, "sites"), default=10)
-    p.add_argument("--beta", type=_finite_float, default=1.0)
-    p.add_argument("--cut", type=int, default=5)
-    p.add_argument("--gamma", type=_finite_float, default=1.0)
-    p.add_argument("--h", type=_finite_float, default=1.0)
-    p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.set_defaults(fn=cmd_mutualinfo)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    quantum = kinds.add_parser("quantum", help="thermal XY chain against its boundary bounds")
+    classical = kinds.add_parser("classical", help="Gibbs Ising ring against its area bound")
+    for p in (quantum, classical):
+        p.add_argument("--sites", type=_int_at_least(1, "sites"), default=10)
+        p.add_argument("--beta", type=_finite_float, default=1.0)
+        p.add_argument("--cut", type=int, default=5)
+    quantum.add_argument("--gamma", type=_finite_float, default=1.0)
+    quantum.add_argument("--h", type=_finite_float, default=1.0)
+    classical.add_argument("--coupling", type=_finite_float, default=1.0)
 
     pk = sub.add_parser("kinetic", help="kinetic Ising models")
     ksub = pk.add_subparsers(dest="kinetic_command", required=True)

@@ -364,6 +364,8 @@ def build_h_tau_single_flip(tau: TauSector, model: KineticModel) -> SpinHamilton
     if model.flip != "single-flip":
         raise ValueError("model is not a single-flip family")
     n, gamma, delta = model.nsites, model.gamma, model.delta
+    if tau.nsites != n:
+        raise ValueError("tau pattern length does not match the chain")
     if n < 3:  # a term reaches sites i-1..i+1
         raise ValueError(f"the single-flip model needs at least 3 sites, got {n}")
     t = tau.spins

@@ -115,6 +115,15 @@ def test_lowest_levels_reject_more_levels_than_the_dimension():
             lowest_levels(op, k=17)
 
 
+def test_lowest_levels_reject_fewer_than_one_level():
+    # the dense path used to return 2 levels for k = -2 and none for k = 0
+    ham = build_xy(1.0, 1.0, 4)
+    for op in (ham.dense(), ham.sparse()):
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lowest_levels(op, k=k)
+
+
 def test_sparse_matches_dense():
     for ham in (build_xy(0.4, 1.2, 6), build_mg(6), build_aklt(4)):
         assert np.abs(ham.sparse().toarray() - ham.dense()).max() <= 1e-12

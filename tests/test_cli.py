@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from entlab.cli import build_parser, main
+from entlab.selftest import CheckResult, Outcome
 
 
 def run(tmp_path, *argv):
@@ -721,3 +723,131 @@ def test_cross_checks_fail_when_their_oracle_disagrees(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err.startswith(f"FAIL {check}:")
     manifest = next(tmp_path.glob("*_manifest.json"))
     assert json.loads(manifest.read_text())["tolerances"][tolerance] == TOLERANCES[tolerance]
+
+
+# -- each action accepts only the options its cmd_* reads --
+
+# every command that runs, as its argv words, in declaration order
+LEAVES = ["measures bell", "measures maxent", "witness", "maps", "page", "lubkin",
+          "mps roundtrip", "mps named", "mps truncate", "classical-superposition", "arealaw",
+          "mutualinfo quantum", "mutualinfo classical", "kinetic spectra", "kinetic evolve",
+          "kinetic detailed-balance", "selftest"]
+
+
+def _subcommands(parser):
+    """The parser's subcommand group, or None."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def leaves(parser, words=()):
+    """The argv words of each command that runs, in declaration order."""
+    group = _subcommands(parser)
+    if group is None:
+        yield " ".join(words)
+        return
+    for name, child in group.choices.items():
+        yield from leaves(child, (*words, name))
+
+
+class ReadRecorder:
+    """Stands in for a parsed Namespace and records each attribute read."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+def option_reads(parser, words, outdir):
+    """(options the command at ``words`` reads, options it accepts).
+
+    Accepted are the options of the subcommands along ``words`` and the values
+    they set by ``set_defaults``, other than ``fn``.  Reads of the global
+    options and of the names that route to the command (``command``, ``state``,
+    ...) are left out.  A required option is given the value ``2``."""
+    chain = [parser]
+    for word in words:
+        group = _subcommands(chain[-1])
+        if group is None or word not in group.choices:
+            break  # a positional choice rather than a subcommand
+        chain.append(group.choices[word])
+    accepted = {a.dest for p in chain[1:] for a in p._actions if a.option_strings} - {"help"}
+    accepted |= {key for p in chain[1:] for key in p._defaults if key != "fn"}
+    left_out = {a.dest for p in chain for a in p._actions if not a.option_strings}
+    left_out |= {a.dest for a in parser._actions}
+    required = [x for a in chain[-1]._actions if a.required and a.option_strings
+                for x in (a.option_strings[0], "2")]
+    args = parser.parse_args([*words, *required])
+    recorder = ReadRecorder(args)
+    args.fn(recorder, outdir, {})
+    return recorder.read - left_out, accepted
+
+
+class StubExperiments:
+    """Stands in for :mod:`entlab.selftest`: one criterion, and every experiment passes."""
+
+    REGISTRY = (("1", lambda tol: CheckResult("stub", True, "")),)
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: Outcome({}, [])
+
+
+def test_every_command_that_runs_is_listed():
+    assert list(leaves(build_parser())) == LEAVES
+
+
+@pytest.mark.parametrize("command", LEAVES)
+def test_each_command_reads_exactly_the_options_it_accepts(tmp_path, monkeypatch, command):
+    import entlab.cli as cli
+
+    parser = build_parser()
+    monkeypatch.setattr(cli, "selftest", StubExperiments())
+    read, accepted = option_reads(parser, command.split(), tmp_path)
+    assert read == accepted
+
+
+def test_an_accepted_option_that_is_not_read_is_reported(tmp_path):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seed", type=int, default=0)
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run")
+    p.add_argument("action", choices=["fast", "slow"])
+    p.add_argument("--used", type=int, required=True)
+    p.add_argument("--ignored", default=None)
+    p.set_defaults(fn=lambda args, outdir, tol: (args.action, args.used, args.seed))
+    assert list(leaves(parser)) == ["run"]
+    assert option_reads(parser, ["run", "fast"], tmp_path) == ({"used"}, {"used", "ignored"})
+
+
+@pytest.mark.parametrize("argv,option", [
+    ("measures bell --d 3", "--d"),
+    ("mps named --dmax 2", "--dmax"),
+    ("mps roundtrip --save x.json", "--save"),
+    ("mps truncate --state aklt", "--state"),
+    ("mutualinfo classical --gamma 0.5", "--gamma"),
+    ("mutualinfo quantum --coupling 2", "--coupling"),
+    ("mps named --state foo", "--state"),
+])
+def test_an_option_the_action_does_not_read_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                                    option):
+    monkeypatch.chdir(tmp_path)  # a relative --save would land here
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv.split())
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_manifests_record_the_options_that_were_used(tmp_path, capsys):
+    assert run(tmp_path, "measures", "bell") == 0
+    params = json.loads((tmp_path / "measures_manifest.json").read_text())["params"]
+    assert (params["state"], params["d"]) == ("bell", 2)
+    assert run(tmp_path, "mutualinfo", "classical", "--sites", "6", "--cut", "3") == 0
+    params = json.loads((tmp_path / "mutualinfo_manifest.json").read_text())["params"]
+    assert params["kind"] == "classical" and params["coupling"] == 1.0
+    assert not {"gamma", "h"} & set(params)
+    assert run(tmp_path, "mps", "named", "--state", "aklt", "--sites", "6") == 0
+    params = json.loads((tmp_path / "mps_manifest.json").read_text())["params"]
+    assert params["action"] == "named" and "dmax" not in params

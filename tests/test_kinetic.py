@@ -561,6 +561,19 @@ def test_sector_scan_rejects_rings_too_short_for_the_terms(kind, minimum):
     sector_spectra_scan(kind, minimum, [TauSector.named("half-up", minimum)], [value], k=1)
 
 
+@pytest.mark.parametrize("length", [10, 6])
+def test_a_tau_pattern_of_another_length_is_rejected(length):
+    # single-flip used to build from the first 8 spins of a 10-site pattern and
+    # raise IndexError on a 6-site one; two-flip always raised this
+    tau, mismatch = TauSector(5, length), "tau pattern length does not match the chain"
+    with pytest.raises(ValueError, match=mismatch):
+        build_h_tau_single_flip(tau, KineticModel("single-flip", 8, 0.9))
+    with pytest.raises(ValueError, match=mismatch):
+        sector_spectra_scan("single-flip", 8, [tau], [0.9], k=1)
+    with pytest.raises(ValueError, match=mismatch):
+        build_h_tau_two_flip(tau, 0.3, 8)
+
+
 def test_sector_evolution_rejects_a_three_site_ring():
     with pytest.raises(ValueError, match="at least 4 sites"):
         sector_generator(KineticModel.thermal("two-flip", 3, 0.4))
