@@ -215,16 +215,15 @@ def build_mg(n: int) -> SpinHamiltonian:
     return ham
 
 
-def build_cluster(sign: int, n: int, bc: str = "periodic") -> SpinHamiltonian:
-    """Cluster Hamiltonian sign * sum_i Z_{i-1} X_i Z_{i+1}.
+def build_cluster(sign: int, n: int) -> SpinHamiltonian:
+    """Periodic cluster Hamiltonian sign * sum_i Z_{i-1} X_i Z_{i+1}.
     Public API that no command calls."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if n < 3:
         raise ValueError("need at least 3 sites")
     ham = SpinHamiltonian(n, 2, [])
-    rng = range(n) if bc == "periodic" else range(1, n - 1)
-    for i in rng:
+    for i in range(n):
         ham.add(float(sign), [((i - 1) % n, PAULI_Z), (i, PAULI_X), ((i + 1) % n, PAULI_Z)])
     return ham
 
@@ -254,10 +253,10 @@ def lowest_levels(op, k: int = 1, seed: int = 0, vectors: bool = False):
     return w, v
 
 
-def ground_state(ham: SpinHamiltonian, k: int = 1,
-                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-k eigenpairs (energies ascending, eigenvector columns), verified."""
-    return lowest_levels(ham.operator(), k, seed, vectors=True)
+def ground_state(ham: SpinHamiltonian, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-k eigenpairs (energies ascending, eigenvector columns), verified;
+    a Lanczos solve starts from seed 0."""
+    return lowest_levels(ham.operator(), k, vectors=True)
 
 
 @dataclass(frozen=True)
@@ -292,15 +291,15 @@ def _fit_scan(sizes, entropies, abscissa: str, nsites: int) -> EntropyScan:
                        float(intercept), residual, abscissa)
 
 
-def block_entropy_scan(psi: PureState, block_sizes, abscissa: str = "log2n") -> EntropyScan:
-    """Entropies of blocks {1..n} of a pure chain state, with a log fit."""
+def block_entropy_scan(psi: PureState, block_sizes) -> EntropyScan:
+    """Entropies of blocks {1..n} of a pure chain state, fit against log2 n."""
     n = len(psi.dims)
     entropies = []
     for b in block_sizes:
         if not 1 <= b < n:
             raise ValueError("block sizes must satisfy 1 <= n < N")
         entropies.append(von_neumann_entropy(partial_trace_pure(psi, int(b), "A")))
-    return _fit_scan(block_sizes, entropies, abscissa, n)
+    return _fit_scan(block_sizes, entropies, "log2n", n)
 
 
 def free_fermion_entropy_scan(gamma: float, h: float, n: int, block_sizes,

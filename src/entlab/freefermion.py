@@ -121,7 +121,11 @@ def xy_ground_covariance(gamma: float, h: float, n: int,
 
 
 def block_entropy_bits(cov: np.ndarray, n_block: int) -> float:
-    """Entropy (bits) of the first ``n_block`` sites of a Gaussian state."""
+    """Entropy (bits) of the first ``n_block`` sites of a Gaussian state of
+    ``N = cov.shape[0] // 2`` sites; raises ``ValueError`` unless
+    ``1 <= n_block < N``."""
+    if not 1 <= n_block < cov.shape[0] // 2:
+        raise ValueError("block sizes must satisfy 1 <= n < N")
     sub = cov[: 2 * n_block, : 2 * n_block]
     w = np.linalg.eigvalsh(1j * sub).real
     # eigenvalues come in +-nu pairs; summing H((1+w)/2) over all of them

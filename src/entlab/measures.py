@@ -5,7 +5,8 @@ Measures
 Negativity and logarithmic negativity are computed from the partial
 transpose by two independent routes (eigenvalue sum vs trace norm), the
 two-qubit concurrence by the spin-flip construction, and the entanglement of
-formation from concurrence through the binary entropy function.
+formation from concurrence through the binary entropy function.  Every
+bipartite measure acts on the split after the first subsystem.
 
 Witnesses and maps
 ------------------
@@ -25,7 +26,6 @@ matrix, tested on the Choi spectrum each map keeps from its construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +46,27 @@ from .states import (
 # measures
 # ---------------------------------------------------------------------------
 
-def negativity(rho: DensityMatrix, cut: int = 1) -> float:
+def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    w = np.linalg.eigvalsh(partial_transpose(rho, "B", cut))
+    w = np.linalg.eigvalsh(partial_transpose(rho, "B"))
     return float(-w[w < 0].sum())
 
 
-def log_negativity(rho: DensityMatrix, cut: int = 1) -> float:
+def log_negativity(rho: DensityMatrix) -> float:
     """log2 of the trace norm of the partial transpose.
 
     Computed from the singular values, independently of :func:`negativity`;
     the two are related by ``E_N = log2(2 N + 1)``.
     """
-    return float(np.log2(trace_norm(partial_transpose(rho, "B", cut))))
+    return float(np.log2(trace_norm(partial_transpose(rho, "B"))))
 
 
-def concurrence_pure(psi: PureState, cut: int = 1) -> float:
+def concurrence_pure(psi: PureState) -> float:
     """sqrt(2 (1 - tr rho_r^2)) for a bipartite pure state.
 
     The value does not depend on which reduction is used.
     """
-    lam2 = schmidt(psi, cut).coefficients ** 2
+    lam2 = schmidt(psi).coefficients ** 2
     return float(np.sqrt(max(2.0 * (1.0 - (lam2 ** 2).sum()), 0.0)))
 
 
@@ -147,20 +147,18 @@ def witness_value(w: Witness, rho: DensityMatrix) -> float:
     return float(np.trace(w.operator @ rho.matrix).real)
 
 
-def witness_from_npt(rho: DensityMatrix, cut: int = 1) -> Witness:
+def witness_from_npt(rho: DensityMatrix) -> Witness:
     """Witness |psi><psi|^T_B from a negative-eigenvalue eigenvector of rho^T_B.
 
     Satisfies tr(W rho) = lambda_min < 0 by construction.  Raises on PPT
     input, where no such witness is derivable.
     """
-    w, v = np.linalg.eigh(partial_transpose(rho, "B", cut))
+    w, v = np.linalg.eigh(partial_transpose(rho, "B"))
     if w[0] >= -1e-10:
         raise ValueError("no NPT witness derivable: state has PPT")
     vec = v[:, 0]
-    da = math.prod(rho.dims[:cut])
-    db = rho.dim // da
-    op = partial_transpose_matrix(np.outer(vec, vec.conj()), da, db, "B")
-    return Witness(op, (da, db))
+    dims = (rho.dims[0], rho.dim // rho.dims[0])
+    return Witness(partial_transpose_matrix(np.outer(vec, vec.conj()), *dims, "B"), dims)
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -255,18 +253,19 @@ def is_completely_positive(qmap: QuantumMap, tol: float = 1e-9) -> bool:
     return bool(qmap.choi_spectrum[0] >= -tol * scale)
 
 
-def kraus_operators(qmap: QuantumMap, tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_operators(qmap: QuantumMap) -> list[np.ndarray]:
     """Kraus form of a completely positive map from its Choi eigenvectors.
 
     The returned operators are mutually orthogonal in the Hilbert-Schmidt
-    inner product.  Raises if the map is not CP.
+    inner product; Choi eigenvalues at or below 1e-12 give none.  Raises if
+    the map is not CP.
     """
     if not is_completely_positive(qmap):
         raise ValueError("map is not completely positive")
     w, v = np.linalg.eigh(qmap.choi)
     ops = []
     for val, vec in zip(w, v.T):
-        if val > tol:
+        if val > 1e-12:
             ops.append(np.sqrt(val) * vec.reshape(qmap.dim_in, qmap.dim_out).T)
     return ops
 

@@ -135,14 +135,15 @@ class TruncationReport:
 # construction and gauges
 # ---------------------------------------------------------------------------
 
-def from_dense(psi: PureState, dmax: int | None = None,
-               cutoff: float = SCHMIDT_CUTOFF) -> tuple[MatrixProductState, TruncationReport]:
+def from_dense(psi: PureState,
+               dmax: int | None = None) -> tuple[MatrixProductState, TruncationReport]:
     """Open-boundary MPS from a dense state by sequential SVD.
 
     Requires a uniform local dimension.  The state is first factored at full
-    rank into canonical form; if ``dmax`` caps the bonds, the canonical state
-    is then truncated with projector semantics, so the reported discarded
-    weights are the exact Schmidt tails of the input.
+    rank (singular values above ``SCHMIDT_CUTOFF``) into canonical form; if
+    ``dmax`` caps the bonds, the canonical state is then truncated with
+    projector semantics, so the reported discarded weights are the exact
+    Schmidt tails of the input.
     """
     dims = set(psi.dims)
     if len(dims) != 1:
@@ -155,7 +156,7 @@ def from_dense(psi: PureState, dmax: int | None = None,
     for _ in range(n - 1):
         m = v.reshape(left * d, -1)
         u, s, vh = svd(m)
-        keep = int((s > cutoff).sum()) or 1
+        keep = int((s > SCHMIDT_CUTOFF).sum()) or 1
         u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
         tensors.append(u.reshape(left, d, keep).transpose(1, 0, 2))
         v = (s[:, None] * vh)
@@ -167,12 +168,12 @@ def from_dense(psi: PureState, dmax: int | None = None,
     return truncate(mps, dmax)
 
 
-def canonicalize(mps: MatrixProductState, cutoff: float = SCHMIDT_CUTOFF) -> MatrixProductState:
+def canonicalize(mps: MatrixProductState) -> MatrixProductState:
     """Right-canonical gauge with Schmidt data, for open chains.
 
     The physical state is unchanged up to the stored scale; the returned
     tensors are right-normalized and ``lambdas[k]`` holds the squared Schmidt
-    coefficients of cut k+1 in descending order.
+    coefficients above ``SCHMIDT_CUTOFF`` of cut k+1 in descending order.
     """
     if mps.boundary != "open":
         raise ValueError("canonical form is defined for open chains")
@@ -198,7 +199,7 @@ def canonicalize(mps: MatrixProductState, cutoff: float = SCHMIDT_CUTOFF) -> Mat
         d, dl, dr = tensors[k].shape
         m = tensors[k].transpose(1, 0, 2).reshape(dl, d * dr)
         u, s, vh = svd(m)
-        keep = int((s > cutoff).sum()) or 1
+        keep = int((s > SCHMIDT_CUTOFF).sum()) or 1
         u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
         tensors[k] = vh.reshape(keep, d, dr).transpose(1, 0, 2)
         carry = u * s
@@ -305,10 +306,17 @@ def expectation(mps: MatrixProductState, ops: dict[int, np.ndarray]) -> complex:
     """Normalized expectation value of a product of single-site operators.
 
     ``ops`` maps site index to a local operator matrix; missing sites get
-    the identity.  Raises :class:`~entlab.linalg.NumericalError` if the
-    numerator or the norm leaves the float range or the norm is zero.
+    the identity.  Raises ``ValueError`` for a site outside ``0..N-1`` or an
+    operator that is not ``(d, d)``, and :class:`~entlab.linalg.NumericalError`
+    if the numerator or the norm leaves the float range or the norm is zero.
     """
-    ident = np.eye(mps.local_dim, dtype=complex)
+    d = mps.local_dim
+    for site, op in ops.items():
+        if site not in range(mps.nsites):
+            raise ValueError(f"site {site!r} is not one of the sites 0..{mps.nsites - 1}")
+        if np.shape(op) != (d, d):
+            raise ValueError(f"operator at site {site} has shape {np.shape(op)}, not ({d}, {d})")
+    ident = np.eye(d, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         num = _contract((_transfer(t, t, np.asarray(ops.get(k, ident), dtype=complex))
                          for k, t in enumerate(mps.tensors)), mps.boundary)

@@ -141,16 +141,16 @@ def _split_dims(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
     return da, db
 
 
-def schmidt(psi: PureState, cut: int = 1, cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:
+def schmidt(psi: PureState, cut: int = 1) -> SchmidtDecomposition:
     """Schmidt decomposition across the contiguous cut ``[0:cut) | [cut:N)``.
 
-    Coefficients below ``cutoff`` are discarded; they are numerical noise and
-    do not affect entropies at the tolerances used here.
+    Coefficients at or below ``SCHMIDT_CUTOFF`` are discarded; they are
+    numerical noise and do not affect entropies at the tolerances used here.
     """
     da, db = _split_dims(psi.dims, cut)
     mat = psi.amplitudes.reshape(da, db)
     u, s, vh = svd(mat)
-    keep = s > cutoff
+    keep = s > SCHMIDT_CUTOFF
     s, u, vh = s[keep], u[:, keep], vh[keep, :]
     return SchmidtDecomposition(coefficients=s, rank=int(s.size), left=u, right=vh.conj().T)
 
@@ -198,21 +198,21 @@ def partial_transpose_matrix(mat: np.ndarray, da: int, db: int, subsystem: str =
     return t.reshape(da * db, da * db)
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "A", cut: int = 1) -> np.ndarray:
-    """Transpose one side of a bipartition, leaving the other untouched.
+def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
+    """Transpose one side of the split after the first subsystem, leaving the
+    other untouched.
 
     For ``subsystem='A'`` the entry rule is
     ``rho_pt[(j, mu), (i, nu)] = rho[(i, mu), (j, nu)]``.
     Returns a plain Hermitian matrix; it is generally not PSD.
     """
-    da, db = _split_dims(rho.dims, cut)
-    return partial_transpose_matrix(rho.matrix, da, db, subsystem)
+    return partial_transpose_matrix(rho.matrix, *_split_dims(rho.dims, 1), subsystem)
 
 
-def is_ppt(rho: DensityMatrix, tol: float = 1e-10, cut: int = 1) -> tuple[bool, float]:
-    """Positive-partial-transpose test; returns (verdict, min eigenvalue).
-    Public API that no command calls."""
-    w = np.linalg.eigvalsh(partial_transpose(rho, "A", cut))
+def is_ppt(rho: DensityMatrix, tol: float = 1e-10) -> tuple[bool, float]:
+    """PPT test across the split after the first subsystem; returns
+    (verdict, min eigenvalue).  Public API that no command calls."""
+    w = np.linalg.eigvalsh(partial_transpose(rho, "A"))
     return bool(w[0] >= -tol), float(w[0])
 
 
@@ -242,7 +242,7 @@ def von_neumann_entropy(rho: DensityMatrix, base=2) -> float:
 def renyi_entropy_from_spectrum(w: np.ndarray, alpha: float, base=2) -> float:
     log = _log(base)
     w = np.clip(np.asarray(w, dtype=float), 0.0, None)
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ValueError("alpha must be nonnegative")
     if alpha == 0:
         return float(log(np.count_nonzero(w > SCHMIDT_CUTOFF)))
@@ -254,19 +254,19 @@ def renyi_entropy_from_spectrum(w: np.ndarray, alpha: float, base=2) -> float:
     return float(log((w ** alpha).sum()) / (1.0 - alpha))
 
 
-def renyi_entropy(rho: DensityMatrix, alpha: float, base=2) -> float:
-    """Renyi entropy of order alpha; alpha = 0, 1, inf handled as limits.
-    Public API that no command calls."""
-    return renyi_entropy_from_spectrum(rho.eigenvalues(), alpha, base)
+def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
+    """Renyi entropy of order alpha in bits; alpha = 0, 1, inf handled as
+    limits.  Public API that no command calls."""
+    return renyi_entropy_from_spectrum(rho.eigenvalues(), alpha)
 
 
-def mutual_information(rho: DensityMatrix, cut: int = 1, base=2) -> float:
-    """S(A) + S(B) - S(AB) across a contiguous bipartition.
+def mutual_information(rho: DensityMatrix, cut: int = 1) -> float:
+    """S(A) + S(B) - S(AB) in bits across a contiguous bipartition.
     Public API that no command calls."""
     n = len(rho.dims)
-    sa = von_neumann_entropy(partial_trace(rho, range(cut)), base)
-    sb = von_neumann_entropy(partial_trace(rho, range(cut, n)), base)
-    sab = von_neumann_entropy(rho, base)
+    sa = von_neumann_entropy(partial_trace(rho, range(cut)))
+    sb = von_neumann_entropy(partial_trace(rho, range(cut, n)))
+    sab = von_neumann_entropy(rho)
     return sa + sb - sab
 
 

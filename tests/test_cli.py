@@ -164,6 +164,31 @@ def test_arealaw_slope_assertion(tmp_path, capsys):
                "--slope-tol", "0.01") == 1
 
 
+def test_arealaw_open_chain_end_block_has_half_the_periodic_slope(tmp_path, capsys):
+    # tests/test_freefermion.py::test_open_chain_end_block_scaling_is_half, through the command
+    slopes = {}
+    for bc in ("periodic", "open"):
+        assert run(tmp_path, "arealaw", "--gamma", "0", "--h", "0", "--sites", "256",
+                   "--nmin", "8", "--nmax", "32", "--abscissa", "log2n", "--bc", bc) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["bc"], doc["abscissa"]) == (bc, "log2n")
+        params = json.loads((tmp_path / "arealaw_manifest.json").read_text())["params"]
+        assert (params["bc"], params["abscissa"]) == (bc, "log2n")
+        slopes[bc] = doc["slope"]
+    assert slopes["periodic"] / slopes["open"] == pytest.approx(2.0, abs=0.25)
+
+
+def test_without_out_the_files_go_to_entlab_outdir(tmp_path, monkeypatch, capsys):
+    outdir = tmp_path / "from-env"
+    monkeypatch.setenv("ENTLAB_OUTDIR", str(outdir))
+    monkeypatch.chdir(tmp_path)
+    assert main(["arealaw", "--gamma", "1", "--h", "1", "--sites", "16",
+                 "--nmin", "2", "--nmax", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["csv"] == str(outdir / "arealaw.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from-env"]
+    assert sorted(p.name for p in outdir.iterdir()) == ["arealaw.csv", "arealaw_manifest.json"]
+
+
 def test_mutualinfo_commands(tmp_path, capsys):
     assert run(tmp_path, "mutualinfo", "quantum", "--sites", "8", "--beta", "0.5",
                "--cut", "4") == 0

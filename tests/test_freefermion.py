@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entlab.chains import free_fermion_entropy_scan
 from entlab.freefermion import (
     block_entropy_bits,
     ground_covariance,
@@ -56,6 +57,17 @@ def test_block_entropy_monotone_block():
     _, cov = xy_ground_covariance(1.0, 1.0, 64)
     s = [block_entropy_bits(cov, b) for b in (4, 8, 16)]
     assert s[0] < s[1] < s[2]  # grows toward the half chain at criticality
+
+
+def test_a_block_outside_the_chain_is_rejected():
+    _, cov = xy_ground_covariance(1.0, 1.0, 8)
+    for n_block in (-1, 0, 8, 12):
+        with pytest.raises(ValueError, match="1 <= n < N"):
+            block_entropy_bits(cov, n_block)
+    for blocks in ([-1, 2], [2, 12]):
+        with pytest.raises(ValueError, match="1 <= n < N"):
+            free_fermion_entropy_scan(1.0, 1.0, 8, blocks)
+    assert block_entropy_bits(cov, 1) > 0 and block_entropy_bits(cov, 7) > 0
 
 
 def test_open_chain_end_block_scaling_is_half():

@@ -371,6 +371,16 @@ def test_periodic_contraction_outside_the_float_range_is_a_numerical_error():
         expectation(zero, {})
 
 
+def test_expectation_rejects_an_operator_off_the_chain_or_of_the_wrong_shape():
+    ghz = ghz_mps(6)
+    assert expectation(ghz, {0: PAULI_X}) == 0
+    for site in (7, -1, 6, 0.5):
+        with pytest.raises(ValueError, match="not one of the sites 0..5"):
+            expectation(ghz, {site: PAULI_X})
+    with pytest.raises(ValueError, match=r"shape \(3, 3\), not \(2, 2\)"):
+        expectation(ghz, {0: np.eye(3)})
+
+
 def test_json_roundtrip_lossless():
     rng = np.random.default_rng(8)
     mps = canonicalize(random_mps(5, 2, 4, rng))

@@ -5,9 +5,11 @@ it, ``entlab/__init__.py`` exports it, or ``README.md`` names it as API.
 Dunders and the ``@_criterion``-registered acceptance checks are exempt: the
 interpreter and :data:`entlab.selftest.REGISTRY` call them.
 
-A parameter with a default, of a function neither exported nor named in
-``README.md``, stays only if some call in ``src/`` passes it, by keyword or
-by position; :data:`KEPT_PARAMETERS` lists the exceptions with their reasons.
+A parameter with a default stays only if some call passes it, by keyword or
+by position.  For a function that ``entlab/__init__.py`` exports or
+``README.md`` names, a call in ``src/`` or ``tests/`` counts; for any other
+function only a call in ``src/`` does.  :data:`KEPT_PARAMETERS` lists the
+exceptions with their reasons.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "entlab"
+TESTS = ROOT / "tests"
 
 
 def _is_criterion(fn) -> bool:
@@ -129,27 +132,35 @@ def _passes(call: ast.Call, param: str, position) -> bool:
     return position is not None and position < len(call.args)
 
 
-def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md") -> list[str]:
-    """Defaulted parameters of internal functions that no ``src/`` call passes.
+def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md",
+                     tests: Path = TESTS) -> list[str]:
+    """Defaulted parameters that no caller passes.
 
-    A function is internal unless ``__init__.py`` exports its name or
-    ``README.md`` names it; a constructor's calls are those of its class.
+    The callers of an internal function are the calls in ``src/``; those of a
+    public one, which ``__init__.py`` exports or ``README.md`` names, are the
+    calls in ``src/`` and ``tests/``.  A constructor's calls are those of its
+    class.
     """
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     documented = set(re.findall(r"\w+", readme.read_text()))
-    calls = _calls(trees.values())
+    src_calls = _calls(trees.values())
+    test_calls = _calls(ast.parse(path.read_text()) for path in sorted(tests.glob("*.py")))
     out = []
     for module, tree in trees.items():
         for qualname, fn in _functions(tree):
             name = fn.name
-            if name in exported or name in documented or _is_criterion(fn):
+            if _is_criterion(fn):
                 continue
             if name.startswith("__") and name.endswith("__") and name != "__init__":
                 continue
+            called = _call_name(qualname)
+            calls = src_calls.get(called, [])
+            if name in exported or name in documented:
+                calls = calls + test_calls.get(called, [])
             for param, position in _defaulted(fn, "." in qualname):
-                if not any(_passes(c, param, position) for c in calls.get(_call_name(qualname), [])):
+                if not any(_passes(c, param, position) for c in calls):
                     out.append(f"{module}:{qualname.replace('.__init__', '')}({param})")
     return out
 
@@ -169,8 +180,16 @@ def test_an_unset_parameter_is_reported(tmp_path):
         "    @staticmethod\n    def make(n=1):\n        return K(n)\n")
     readme = tmp_path / "README.md"
     readme.write_text("`documented` is public API.\n")
-    assert unset_parameters(tmp_path, readme) == [
-        "a.py:helper(never)", "a.py:K(y)", "a.py:K.twice(times)", "a.py:K.make(n)"]
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    assert unset_parameters(tmp_path, readme, tests) == [
+        "a.py:exported(x)", "a.py:helper(never)", "a.py:documented(knob)", "a.py:K(y)",
+        "a.py:K.twice(times)", "a.py:K.make(n)"]
+    # a test's call counts for a public function only
+    (tests / "test_a.py").write_text("exported(x=2)\nhelper(1, never=1)\n")
+    assert unset_parameters(tmp_path, readme, tests) == [
+        "a.py:helper(never)", "a.py:documented(knob)", "a.py:K(y)", "a.py:K.twice(times)",
+        "a.py:K.make(n)"]
 
 
 # the only functions that may name each Hermiticity check: check_hermitian where a

@@ -209,6 +209,12 @@ def test_renyi_entropy_limits():
     )
 
 
+def test_renyi_entropy_of_nan_order_is_rejected():
+    rho = random_density((4,), np.random.default_rng(11))
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        renyi_entropy(rho, float("nan"))
+
+
 def test_renyi_monotone_in_alpha():
     rng = np.random.default_rng(12)
     alphas = [0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 4.0, np.inf]
