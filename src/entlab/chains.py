@@ -268,7 +268,7 @@ class EntropyScan:
     slope: float
     intercept: float
     residual: float
-    abscissa: str = "log2n"
+    abscissa: str
 
 
 def _fit_scan(sizes, entropies, abscissa: str, nsites: int) -> EntropyScan:

@@ -108,9 +108,10 @@ class KineticModel:
 
     @property
     def beta(self) -> float:
-        """Inverse temperature fixed by gamma = tanh(2 beta J)."""
+        """Inverse temperature fixed by gamma = tanh(2 beta J); ``ValueError``
+        at gamma = 1, where no finite beta gives the rates."""
         if self.gamma >= 1.0:
-            return math.inf
+            raise ValueError("needs a finite-temperature parametrization")
         return math.atanh(self.gamma) / (2.0 * self.coupling)
 
     @property
@@ -259,11 +260,10 @@ def detailed_balance_violation(gen: scipy.sparse.csr_matrix, energies: np.ndarra
 
 def _generator_balance(model: KineticModel):
     """(generator, energies, max detailed-balance violation) of the model."""
-    if model.gamma >= 1.0:
-        raise ValueError("detailed balance needs a finite temperature (gamma < 1)")
+    beta = model.beta  # raises before the build at gamma = 1
     gen = build_generator(model)
     energies = ising_energies(model.nsites, model.coupling)
-    return gen, energies, detailed_balance_violation(gen, energies, model.beta)
+    return gen, energies, detailed_balance_violation(gen, energies, beta)
 
 
 def check_detailed_balance(model: KineticModel, tol: float = 1e-10):
@@ -278,7 +278,8 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     H(s, s') = delta_{ss'} sum_t W(t, s) - e^{b E(s)/2} W(s, s') e^{-b E(s')/2};
     its kernel vector is proportional to e^{-b E(s)/2}.  The generator that
     passed the detailed-balance check is the one scaled.  H is PSD in exact
-    arithmetic; :func:`symmetrized_eigh` diagonalizes it and checks that.
+    arithmetic; :func:`build_h_beta_single_flip` builds the same matrix from
+    Pauli terms.
     """
     check_budget("full_spectrum_max_dim", 2 ** model.nsites, "symmetrized generator dimension")
     gen, energies, worst = _generator_balance(model)
@@ -293,18 +294,6 @@ def symmetrize(model: KineticModel) -> np.ndarray:
     h *= (1.0 / d)[None, :]
     np.negative(h, out=h)
     return check_hermitian(h)
-
-
-def symmetrized_eigh(model: KineticModel) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem ``(w, V)`` of :func:`symmetrize`, ascending, from one ``eigh``.
-
-    Raises :class:`NumericalError` if the spectrum is not PSD to 1e-10 of its
-    scale.
-    """
-    w, v = np.linalg.eigh(symmetrize(model))
-    if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise NumericalError(f"symmetrized generator has negative eigenvalue {w[0]:.2e}")
-    return w, v
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +323,8 @@ def build_h_beta_single_flip(model: KineticModel) -> SpinHamiltonian:
     if model.flip != "single-flip":
         raise ValueError("model is not a single-flip family")
     n, gamma, delta = model.nsites, model.gamma, model.delta
+    if n < 3:  # a term reaches sites i-1..i+1
+        raise ValueError(f"the single-flip model needs at least 3 sites, got {n}")
     a, b = single_flip_coefficients(gamma, delta)
     ham = SpinHamiltonian(n, 2, [])
     for i in range(n):
@@ -509,8 +500,6 @@ def sector_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
     """
     if model.flip != "two-flip":
         raise ValueError("sector evolution is defined for the two-flip model")
-    if model.gamma >= 1.0:
-        raise ValueError("needs a finite-temperature parametrization")
     n = model.nsites
     check_budget("sector_evolve_max_sites", n, "sector evolution sites")
     dim = 2 ** n

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import chains, freefermion, haar, kinetic, measures, mps, states
 from .kinetic import KineticModel, TauSector
-from .linalg import PAULI_X, PAULI_Z, check_budget, kron
+from .linalg import PAULI_X, PAULI_Z, NumericalError, check_budget, kron
 from .linalg import lanczos_lowest  # noqa: F401  # a global here for the benchmark's probes
 
 TOLERANCES = MappingProxyType({
@@ -330,7 +330,13 @@ def classical_superposition(n: int, beta: float, coupling: float,
     phase = amp[np.argmax(np.abs(amp))] / target[np.argmax(np.abs(amp))]
     deviation = float(np.abs(amp - phase * target).max())
     model = KineticModel.thermal("single-flip", n, beta, coupling=coupling)
-    w, v = kinetic.symmetrized_eigh(model)
+    # ValueError where gamma rounds to 1: the zero-temperature kernel is degenerate
+    model.beta
+    op = kinetic.build_h_beta_single_flip(model).operator()
+    w, v = chains.lowest_levels(op, vectors=True)
+    # PSD in exact arithmetic; the largest absolute row sum bounds the spectrum
+    if w[0] < -1e-10 * max(1.0, float(abs(op).sum(axis=1).max())):
+        raise NumericalError(f"symmetrized generator has negative eigenvalue {w[0]:.2e}")
     overlap = float(abs(np.vdot(v[:, 0], target)))
     values = {"sites": n, "beta": beta, "coupling": coupling, "amplitude_deviation": deviation,
               "ground_energy": float(w[0]), "kernel_overlap": overlap}

@@ -141,6 +141,13 @@ def test_classical_superposition_command(tmp_path, capsys):
     assert doc["kernel_overlap"] >= 1 - 1e-10
 
 
+@pytest.mark.parametrize("sites", ["14", "16"])
+def test_classical_superposition_reaches_the_mps_budget(tmp_path, capsys, sites):
+    # dense eigh up to dimension 1024, Lanczos above; 2^16 amplitudes is the MPS budget
+    assert run(tmp_path, "classical-superposition", "--sites", sites) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_overlap"] >= 1 - 1e-10
+
+
 def test_arealaw_command_deterministic(tmp_path, capsys):
     args = ["arealaw", "--gamma", "1.0", "--h", "1.0", "--sites", "32",
             "--nmin", "4", "--nmax", "16"]
@@ -614,14 +621,41 @@ def test_an_overflowing_result_is_a_numerical_failure(tmp_path, capsys, argv, ke
 
 
 def test_negative_symmetrized_spectrum_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a negated Pauli-form operator: a lowest level far below zero is a solver
+    # failure (exit 4), not a failed kernel-eigenvalue check (exit 1)
     from entlab import kinetic
+    from entlab.chains import SpinHamiltonian
 
-    original = kinetic.symmetrize
-    monkeypatch.setattr(kinetic, "symmetrize", lambda model: -original(model))
+    original = kinetic.build_h_beta_single_flip
+
+    def negated(model):
+        ham = original(model)
+        return SpinHamiltonian(ham.nsites, ham.local_dim, [(-c, f) for c, f in ham.terms])
+
+    monkeypatch.setattr(kinetic, "build_h_beta_single_flip", negated)
     assert run(tmp_path, "classical-superposition", "--sites", "4") == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure") and "negative eigenvalue" in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "classical_superposition_manifest.json").exists()
+
+
+def test_an_inexact_kernel_vector_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # lowest_levels checks the residual of every eigenpair it returns
+    original = np.linalg.eigh
+
+    def perturbed(a, *args, **kwargs):
+        w, v = original(a, *args, **kwargs)
+        if a.shape[0] == 2 ** 6:  # the kernel solve, not the MPS's 2 x 2 transfer root
+            v = v.copy()
+            v[0, 0] += 1e-4
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    assert run(tmp_path, "classical-superposition", "--sites", "6") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and "eigenpair residual" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind,sites,cut", [
@@ -665,6 +699,7 @@ def test_bad_counts_and_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys
     (("kinetic", "detailed-balance", "--model", "two-flip", "--sites", "6", "--delta", "0.5"),
      "delta"),
     (("kinetic", "spectra", "--model", "two-flip", "--delta", "0.7"), "delta"),
+    (("classical-superposition", "--sites", "2"), "at least 3 sites"),
 ])
 def test_short_rings_and_two_flip_delta_are_invalid_configurations(tmp_path, capsys, argv,
                                                                     rule):
@@ -673,6 +708,10 @@ def test_short_rings_and_two_flip_delta_are_invalid_configurations(tmp_path, cap
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert rule in err
     assert not list(tmp_path.iterdir())
+
+
+# the one stderr line of a thermal command at a temperature KineticModel.beta rejects
+NO_FINITE_BETA = "invalid configuration: needs a finite-temperature parametrization"
 
 
 @pytest.mark.parametrize("argv,rule", [
@@ -686,6 +725,10 @@ def test_short_rings_and_two_flip_delta_are_invalid_configurations(tmp_path, cap
     # the thermal map gamma = tanh(2 beta J) of the kinetic models
     (("kinetic", "detailed-balance", "--model", "single-flip", "--sites", "6", "--beta", "-0.3"),
      "beta must be non-negative, got beta -0.3"),
+    # gamma = tanh(2 beta) rounds to 1 from beta of about 9.7 at J = 1
+    (("classical-superposition", "--sites", "8", "--beta", "10"), NO_FINITE_BETA),
+    (("kinetic", "detailed-balance", "--sites", "8", "--beta", "10"), NO_FINITE_BETA),
+    (("kinetic", "evolve", "--sites", "6", "--beta", "10"), NO_FINITE_BETA),
 ])
 def test_inputs_outside_the_derivations_are_invalid_configurations(tmp_path, capsys, argv,
                                                                     rule):

@@ -352,9 +352,9 @@ def _over_budget_cases():
     return {
         "lanczos_max_dim": lambda: chains.ground_state(chains.build_xy(1, 1, 21)),
         "full_spectrum_max_dim": lambda: chains.thermal_state(chains.build_xy(1, 1, 14), 1.0),
-        # 2^14 amplitudes pass the MPS budget; the dense symmetrized generator does not
-        "full_spectrum_max_dim (classical-superposition)": lambda: selftest.classical_superposition(
-            14, 0.6, 1.0),
+        # the dense amplitudes of the Gibbs oracle are checked before the kernel solve
+        "mps_dense_max_amplitudes (classical-superposition)": lambda: (
+            selftest.classical_superposition(17, 0.6, 1.0)),
         "classical_ring_max_sites": lambda: chains.classical_gibbs_mutual_info(
             1.0, 0.5, 21, 10),
         "generator_max_sites": lambda: kinetic.build_generator(
@@ -383,7 +383,7 @@ def _over_budget_cases():
 
 @pytest.mark.parametrize("name", list(_over_budget_cases()))
 def test_one_above_each_limit_raises(name, monkeypatch):
-    from entlab import states
+    from entlab import chains, kinetic, states
     from entlab.linalg import ResourceLimitError
 
     cases = _over_budget_cases()
@@ -391,7 +391,12 @@ def test_one_above_each_limit_raises(name, monkeypatch):
     def no_draw(*args):
         raise AssertionError("a random state was drawn before the budget check")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran before the budget check")
+
     monkeypatch.setattr(states, "random_pure", no_draw)
+    for module in (chains, kinetic):
+        monkeypatch.setattr(module, "lowest_levels", no_solve)
     with pytest.raises(ResourceLimitError):
         cases[name]()
 

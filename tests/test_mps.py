@@ -17,6 +17,7 @@ from entlab.mps import (
     from_dense,
     from_json_dict,
     ghz_mps,
+    load_mps,
     majumdar_ghosh_mps,
     renyi_truncation_bound,
     to_json_dict,
@@ -395,3 +396,32 @@ def test_json_roundtrip_lossless():
     for a, b in zip(back.lambdas, mps.lambdas):
         assert np.array_equal(a, b)
 
+
+def _with_tensor(site, shape):
+    """A document edit: zeros of ``shape`` as the tensor at ``site``."""
+    def edit(doc):
+        doc["tensors"][site] = {"re": np.zeros(shape).tolist(), "im": np.zeros(shape).tolist()}
+    return edit
+
+
+@pytest.mark.parametrize("boundary,edit,message", [
+    ("periodic", lambda doc: doc.update(boundary="twisted"), "boundary must be"),
+    ("open", _with_tensor(1, (2, 2)), r"shape \(d, Dl, Dr\)"),
+    ("open", _with_tensor(1, (2, 3, 2)), "do not chain"),
+    ("open", _with_tensor(0, (2, 2, 2)), "trivial edge bonds"),
+    ("periodic", _with_tensor(0, (2, 3, 2)), "matching edge bonds"),
+])
+def test_a_malformed_document_is_rejected(tmp_path, boundary, edit, message):
+    # saved files come from outside the program: each shape rule is checked on load
+    import json
+
+    state = ghz_mps(4) if boundary == "periodic" else from_dense(dense_ghz(4))[0]
+    assert state.boundary == boundary
+    doc = to_json_dict(state)
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        from_json_dict(doc)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_mps(path)
