@@ -285,7 +285,9 @@ def _fit_scan(sizes, entropies, abscissa: str, nsites: int) -> EntropyScan:
         raise ValueError("abscissa must be 'log2n' or 'chord'")
     ys = np.asarray(entropies, dtype=float)
     design = np.vstack([xs, np.ones_like(xs)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    (slope, intercept), _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
+    if rank < 2:  # the chord abscissae of b and N - b coincide
+        raise ValueError("a slope fit needs at least two distinct abscissae")
     residual = float(np.sqrt(np.mean((design @ [slope, intercept] - ys) ** 2)))
     return EntropyScan(sizes, tuple(float(y) for y in ys), float(slope),
                        float(intercept), residual, abscissa)
@@ -298,7 +300,7 @@ def block_entropy_scan(psi: PureState, block_sizes) -> EntropyScan:
     for b in block_sizes:
         if not 1 <= b < n:
             raise ValueError("block sizes must satisfy 1 <= n < N")
-        entropies.append(von_neumann_entropy(partial_trace_pure(psi, int(b), "A")))
+        entropies.append(von_neumann_entropy(partial_trace_pure(psi, int(b))))
     return _fit_scan(block_sizes, entropies, "log2n", n)
 
 

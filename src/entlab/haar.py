@@ -67,7 +67,6 @@ def _reduced_spectrum(m: int, n: int, rng, count: int = 1) -> np.ndarray:
     stacked SVD runs the same LAPACK routine on each matrix, so every row
     equals the spectrum of the corresponding single draw bit for bit.
     """
-    check_budget("haar_max_amplitudes", m * n, "Haar state amplitudes m n")
     z = rng.standard_normal((count, 2, m, n))
     g = z[:, 0] + 1j * z[:, 1]
     s = np.linalg.svd(g, compute_uv=False)
@@ -120,6 +119,7 @@ def sample_moments(m: int, n: int, samples: int, seed,
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"use at least {MIN_SAMPLES} samples")
+    check_budget("haar_max_amplitudes", m * n, "Haar state amplitudes m n")
     counts = _block_counts(samples)
     streams = np.random.SeedSequence(seed).spawn(len(counts))
 

@@ -117,7 +117,7 @@ class KineticModel:
     @property
     def phi(self) -> float:
         """Temperature angle in [0, pi/4]; gamma = sin(2 phi)."""
-        return 0.5 * math.asin(min(self.gamma, 1.0))
+        return 0.5 * math.asin(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -313,31 +313,16 @@ def single_flip_coefficients(gamma: float, delta: float) -> tuple[float, float]:
 
 
 def build_h_beta_single_flip(model: KineticModel) -> SpinHamiltonian:
-    """Uniform-sector Hamiltonian of the single-flip model, operator form.
+    """Uniform-sector Hamiltonian of the single-flip model, operator form:
+    :func:`build_h_tau_single_flip` at uniform tau,
 
     -sum_i [ (A - B Z_{i-1} Z_{i+1}) X_i
              - (1 + delta Z_{i-1} Z_{i+1}) (1 - (gamma/2) Z_i (Z_{i-1}+Z_{i+1})) ]
 
-    The dense matrix coincides with :func:`symmetrize` of the same model.
+    Its kernel is the square-root-Gibbs vector; :func:`symmetrize` builds the
+    same matrix from the rates.
     """
-    if model.flip != "single-flip":
-        raise ValueError("model is not a single-flip family")
-    n, gamma, delta = model.nsites, model.gamma, model.delta
-    if n < 3:  # a term reaches sites i-1..i+1
-        raise ValueError(f"the single-flip model needs at least 3 sites, got {n}")
-    a, b = single_flip_coefficients(gamma, delta)
-    ham = SpinHamiltonian(n, 2, [])
-    for i in range(n):
-        im1, ip1 = (i - 1) % n, (i + 1) % n
-        ham.add(-a, [(i, PAULI_X)])
-        ham.add(b, [(im1, PAULI_Z), (i, PAULI_X), (ip1, PAULI_Z)])
-        # expanded diagonal product (1 + d ZZ)(1 - (gamma/2) Z(Z+Z)):
-        # Z^2 = 1 collapses the cross terms onto the nearest-neighbor bonds
-        ham.add(1.0, [])
-        ham.add(-0.5 * gamma * (1 + delta), [(im1, PAULI_Z), (i, PAULI_Z)])
-        ham.add(-0.5 * gamma * (1 + delta), [(i, PAULI_Z), (ip1, PAULI_Z)])
-        ham.add(delta, [(im1, PAULI_Z), (ip1, PAULI_Z)])
-    return ham
+    return build_h_tau_single_flip(TauSector.named("uniform-up", model.nsites), model)
 
 
 def _f(x: float) -> float:
@@ -349,8 +334,9 @@ def build_h_tau_single_flip(tau: TauSector, model: KineticModel) -> SpinHamilton
 
     The transverse coefficient takes the uniform-sector (A, B) values where
     tau_{i-1} = tau_{i+1} and the branch value
-    sqrt(1-delta^2) (1-gamma^2)^(1/4) with no three-site term otherwise; for
-    uniform tau the Hamiltonian reduces to :func:`build_h_beta_single_flip`.
+    sqrt(1-delta^2) (1-gamma^2)^(1/4) with no three-site term otherwise; both
+    uniform patterns give the uniform-sector Hamiltonian,
+    :func:`build_h_beta_single_flip`.
     """
     if model.flip != "single-flip":
         raise ValueError("model is not a single-flip family")

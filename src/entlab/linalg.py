@@ -65,7 +65,7 @@ BUDGET = MappingProxyType({
     "sector_evolve_max_sites": 10,         # kinetic.sector_generator
     "spectra_scan_max_sites": 17,          # kinetic.sector_spectra_scan
     "mps_dense_max_amplitudes": 2 ** 16,   # MatrixProductState.to_dense
-    "haar_max_amplitudes": 2 ** 14,        # m n of each Haar draw (haar._reduced_spectrum)
+    "haar_max_amplitudes": 2 ** 14,        # m n of each Haar draw (haar.sample_moments)
 })
 
 

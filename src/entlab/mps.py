@@ -401,24 +401,21 @@ def cluster_mps(n: int) -> MatrixProductState:
     return _uniform_pbc([a0, a1], n)
 
 
-def classical_superposition_mps(coupling, beta: float, n: int) -> MatrixProductState:
-    """Thermal superposition state of a classical ring of pair interactions.
+def classical_superposition_mps(coupling: float, beta: float, n: int) -> MatrixProductState:
+    """Thermal superposition state of the Ising ring ``H(s) = -J sum_i s_i s_{i+1}``.
 
-    The amplitudes of the produced periodic MPS are proportional to
-    ``exp(-beta H(s) / 2)`` with ``H(s) = sum_i coupling(s_i, s_{i+1})`` over
-    spins ``s_i`` in (1, -1), site digit 0 for 1.
-    The construction needs the symmetric matrix
-    ``M[s, s'] = exp(-beta coupling(s, s') / 2)`` to be positive
-    semidefinite; its principal square root provides the local frame.
+    ``coupling`` is J.  The amplitudes of the produced periodic MPS are
+    proportional to ``exp(-beta H(s) / 2)`` over spins ``s_i`` in (1, -1),
+    site digit 0 for 1.  The construction needs the symmetric matrix
+    ``M[s, s'] = exp(beta J s s' / 2)`` to be positive semidefinite, which
+    holds for beta J >= 0; its principal square root provides the local frame.
     """
     spins = (1.0, -1.0)
     d = len(spins)
     m = np.empty((d, d))
     for a, sa in enumerate(spins):
         for b, sb in enumerate(spins):
-            m[a, b] = math.exp(-0.5 * beta * coupling(sa, sb))
-    if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
-        raise ValueError("coupling must be symmetric")
+            m[a, b] = math.exp(-0.5 * beta * (-coupling * sa * sb))
     w, v = np.linalg.eigh(m)
     if w[0] < -1e-12 * max(abs(w[-1]), 1.0):
         raise ValueError(

@@ -184,8 +184,9 @@ def page(m: int, n: int, samples: int, seed, workers: int = 1, tol=TOLERANCES) -
     """Monte Carlo mean entropy of Haar-random states against Page's formula."""
     if m > n:
         raise ValueError("requires m <= n")
-    exact = haar.mean_entropy_exact(m, n)
+    # the Monte Carlo checks the budget before the O(mn) closed form runs
     mean, err = haar.mean_entropy_mc(m, n, samples, seed=seed, workers=workers)
+    exact = haar.mean_entropy_exact(m, n)
     z, failed = _mc_consistency("page-mc-consistency", mean, err, exact, tol)
     return Outcome({"m": m, "n": n, "samples": samples,
                     "exact_nats": exact, "exact_bits": haar.nats_to_bits(exact),
@@ -321,7 +322,11 @@ def classical_superposition(n: int, beta: float, coupling: float,
     """Thermal superposition amplitudes against the Gibbs weights, and the
     kernel of the symmetrized Glauber generator against the same vector."""
     limit = tol["classical_superposition"]
-    state = mps.classical_superposition_mps(lambda a, b: -coupling * a * b, beta, n)
+    model = KineticModel.thermal("single-flip", n, beta, coupling=coupling)
+    # ValueError where gamma rounds to 1: the zero-temperature kernel is
+    # degenerate there, and the MPS weights overflow from beta J > 1419 on
+    model.beta
+    state = mps.classical_superposition_mps(coupling, beta, n)
     psi, _ = state.to_dense()
     energies = kinetic.ising_energies(n, coupling)
     target = np.exp(-0.5 * beta * (energies - energies.min()))
@@ -329,9 +334,6 @@ def classical_superposition(n: int, beta: float, coupling: float,
     amp = psi.amplitudes
     phase = amp[np.argmax(np.abs(amp))] / target[np.argmax(np.abs(amp))]
     deviation = float(np.abs(amp - phase * target).max())
-    model = KineticModel.thermal("single-flip", n, beta, coupling=coupling)
-    # ValueError where gamma rounds to 1: the zero-temperature kernel is degenerate
-    model.beta
     op = kinetic.build_h_beta_single_flip(model).operator()
     w, v = chains.lowest_levels(op, vectors=True)
     # PSD in exact arithmetic; the largest absolute row sum bounds the spectrum
@@ -545,7 +547,7 @@ def check_two_qubit_measures(tol):
         psi = states.random_pure((2, 2), rng)
         rho = psi.projector()
         worst = max(worst, abs(measures.concurrence_2q(rho) - measures.concurrence_pure(psi)))
-        s_a = states.von_neumann_entropy(states.partial_trace_pure(psi, 1, "A"))
+        s_a = states.von_neumann_entropy(states.partial_trace_pure(psi, 1))
         worst = max(worst, abs(measures.eof_2q(rho) - s_a))
     detail = f"max deviation {worst:.2e} over 500 states (tol {limit})"
     return _failed((worst <= limit, "two-qubit-consistency", detail)), detail
@@ -691,7 +693,7 @@ def check_kinetic_sector_structure(tol):
         got = chains.lowest_levels(block)[0]
         block_dev = max(block_dev, abs(got - kinetic.mixed_block_min_eigenvalue(phi)))
     model = KineticModel("single-flip", n, 0.55, 0.35)
-    reference = kinetic.build_h_beta_single_flip(model).dense()
+    reference = kinetic.symmetrize(model)
     uniform_dev = max(
         np.abs(kinetic.build_h_tau_single_flip(tau, model).dense() - reference).max()
         for tau in (TauSector.named("uniform-down", n), TauSector.named("uniform-up", n)))

@@ -175,15 +175,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tuple(dims[k] for k in keep), out)
 
 
-def partial_trace_pure(psi: PureState, cut: int, which: str = "A") -> DensityMatrix:
-    """Reduced state of the left (``A``) or right (``B``) block of a pure state."""
+def partial_trace_pure(psi: PureState, cut: int) -> DensityMatrix:
+    """Reduced state of the left block, the first ``cut`` subsystems, of a pure state."""
     da, db = _split_dims(psi.dims, cut)
     mat = psi.amplitudes.reshape(da, db)
-    if which == "A":
-        return DensityMatrix(psi.dims[:cut], mat @ mat.conj().T)
-    if which == "B":
-        return DensityMatrix(psi.dims[cut:], mat.T @ mat.conj())
-    raise ValueError("which must be 'A' or 'B'")
+    return DensityMatrix(psi.dims[:cut], mat @ mat.conj().T)
 
 
 def partial_transpose_matrix(mat: np.ndarray, da: int, db: int, subsystem: str = "A") -> np.ndarray:

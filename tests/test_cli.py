@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,16 @@ def test_resource_limit_exit_code(tmp_path, capsys):
         assert run(tmp_path, *argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+def test_page_checks_its_budget_before_the_closed_form(tmp_path, capsys):
+    # the closed form's harmonic sum would have m n = 1e10 terms
+    start = time.perf_counter()
+    assert run(tmp_path, "page", "--m", "100000", "--n", "100000", "--samples", "100") == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
@@ -729,6 +740,13 @@ NO_FINITE_BETA = "invalid configuration: needs a finite-temperature parametrizat
     (("classical-superposition", "--sites", "8", "--beta", "10"), NO_FINITE_BETA),
     (("kinetic", "detailed-balance", "--sites", "8", "--beta", "10"), NO_FINITE_BETA),
     (("kinetic", "evolve", "--sites", "6", "--beta", "10"), NO_FINITE_BETA),
+    # checked before the MPS weights exp(beta J / 2), which overflow from beta J > 1419
+    (("classical-superposition", "--sites", "8", "--beta", "1500"), NO_FINITE_BETA),
+    (("classical-superposition", "--sites", "8", "--beta", "1", "--coupling", "1e308"),
+     NO_FINITE_BETA),
+    # at N = 2b + 1 the chord abscissae of blocks b and b + 1 coincide
+    (("arealaw", "--gamma", "1", "--h", "1", "--sites", "7", "--nmin", "3", "--nmax", "4"),
+     "a slope fit needs at least two distinct abscissae"),
 ])
 def test_inputs_outside_the_derivations_are_invalid_configurations(tmp_path, capsys, argv,
                                                                     rule):

@@ -82,7 +82,7 @@ def test_trace_of_reduction_is_one():
     rng = np.random.default_rng(1)
     for _ in range(100):
         psi = haar_pure(2, 3, rng)
-        ra = partial_trace_pure(psi, 1, "A")
+        ra = partial_trace_pure(psi, 1)
         assert np.trace(ra.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -150,12 +150,12 @@ def test_unitary_invariance_ks():
     s_rot = np.empty(nsamp)
     for i in range(nsamp):
         psi = haar_pure(m, n, rng)
-        s_plain[i] = von_neumann_entropy(partial_trace_pure(psi, 1, "A"))
+        s_plain[i] = von_neumann_entropy(partial_trace_pure(psi, 1))
         rot = u @ haar_pure(m, n, rng).amplitudes
         from entlab.states import PureState
 
         s_rot[i] = von_neumann_entropy(
-            partial_trace_pure(PureState((m, n), rot), 1, "A")
+            partial_trace_pure(PureState((m, n), rot), 1)
         )
     allv = np.sort(np.concatenate([s_plain, s_rot]))
     f1 = np.searchsorted(np.sort(s_plain), allv, side="right") / nsamp

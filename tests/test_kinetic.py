@@ -250,9 +250,10 @@ def test_single_flip_coefficient_limits():
 
 
 def test_h_tau_uniform_sectors_reduce():
+    # both uniform patterns give the generator symmetrized from the rates
     n = 8
     model = KineticModel("single-flip", n, 0.55, 0.35)
-    reference = build_h_beta_single_flip(model).dense()
+    reference = symmetrize(model)
     for tau in (TauSector.named("uniform-up", n), TauSector.named("uniform-down", n)):
         dense = build_h_tau_single_flip(tau, model).dense()
         assert np.abs(dense - reference).max() <= 1e-12

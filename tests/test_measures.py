@@ -91,7 +91,7 @@ def test_log_negativity_bounds_entropy():
     rng = np.random.default_rng(2)
     for _ in range(100):
         psi = random_pure((3, 4), rng)
-        s = von_neumann_entropy(partial_trace_pure(psi, 1, "A"))
+        s = von_neumann_entropy(partial_trace_pure(psi, 1))
         assert s <= log_negativity(psi.projector()) + 1e-9
 
 
@@ -139,7 +139,7 @@ def test_eof_equals_reduction_entropy_on_pure():
     for _ in range(200):
         psi = random_pure((2, 2), rng)
         assert eof_2q(psi.projector()) == pytest.approx(
-            von_neumann_entropy(partial_trace_pure(psi, 1, "A")), abs=1e-8
+            von_neumann_entropy(partial_trace_pure(psi, 1)), abs=1e-8
         )
 
 

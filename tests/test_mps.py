@@ -221,7 +221,7 @@ def test_block_entropy_matches_dense():
     mps, _ = from_dense(psi)
     for cut in range(1, 8):
         s_mps = entropy_from_probabilities(mps.lambdas[cut - 1], 2)
-        s_dense = von_neumann_entropy(partial_trace_pure(psi, cut, "A"))
+        s_dense = von_neumann_entropy(partial_trace_pure(psi, cut))
         assert s_mps == pytest.approx(s_dense, abs=1e-8)
 
 
@@ -305,14 +305,14 @@ def test_majumdar_ghosh_even_only():
 
 
 def test_classical_superposition_infinite_temperature():
-    mps = classical_superposition_mps(lambda a, b: -a * b, 0.0, 6)
+    mps = classical_superposition_mps(1.0, 0.0, 6)
     psi, _ = mps.to_dense()
     assert np.allclose(np.abs(psi.amplitudes), 2 ** -3, atol=1e-12)
 
 
 def test_classical_superposition_matches_gibbs():
     n, beta, jcoup = 8, 0.6, 1.0
-    mps = classical_superposition_mps(lambda a, b: -jcoup * a * b, beta, n)
+    mps = classical_superposition_mps(jcoup, beta, n)
     psi, _ = mps.to_dense()
     spins = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1)
     energy = -jcoup * (spins * np.roll(spins, -1, axis=1)).sum(axis=1)
@@ -323,7 +323,7 @@ def test_classical_superposition_matches_gibbs():
 
 
 def test_classical_superposition_ground_state_limit():
-    mps = classical_superposition_mps(lambda a, b: -a * b, 6.0, 6)
+    mps = classical_superposition_mps(1.0, 6.0, 6)
     psi, _ = mps.to_dense()
     p = np.abs(psi.amplitudes) ** 2
     assert p[0] + p[-1] >= 0.99
@@ -331,13 +331,13 @@ def test_classical_superposition_ground_state_limit():
 
 def test_classical_superposition_rejects_nonpsd():
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        classical_superposition_mps(lambda a, b: +a * b, 1.0, 6)
+        classical_superposition_mps(-1.0, 1.0, 6)
 
 
 def test_classical_superposition_area_law():
     # block entropy of the thermal superposition is bounded by log2 D = 1 bit
     for n in (6, 8, 10):
-        mps = classical_superposition_mps(lambda a, b: -a * b, 0.7, n)
+        mps = classical_superposition_mps(1.0, 0.7, n)
         psi, _ = mps.to_dense()
         canon, _ = from_dense(psi)
         for cut in range(1, n):

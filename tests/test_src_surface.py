@@ -6,10 +6,11 @@ Dunders and the ``@_criterion``-registered acceptance checks are exempt: the
 interpreter and :data:`entlab.selftest.REGISTRY` call them.
 
 A parameter with a default stays only if some call passes it, by keyword or
-by position.  For a function that ``entlab/__init__.py`` exports or
-``README.md`` names, a call in ``src/`` or ``tests/`` counts; for any other
-function only a call in ``src/`` does.  :data:`KEPT_PARAMETERS` lists the
-exceptions with their reasons.
+by position, a value other than the default's own literal.  For a function
+that ``entlab/__init__.py`` exports or ``README.md`` names, a call in
+``src/`` or ``tests/`` counts; for any other function only a call in
+``src/`` does.  :data:`KEPT_PARAMETERS` lists the exceptions with their
+reasons.
 """
 
 import ast
@@ -99,17 +100,17 @@ def _call_name(qualname: str) -> str:
 
 
 def _defaulted(fn, is_method: bool):
-    """(parameter, position a caller passes it at, or None if keyword-only)."""
+    """(parameter, position a caller passes it at or None if keyword-only, default)."""
     positional = fn.args.posonlyargs + fn.args.args
     if is_method and not any(getattr(d, "id", None) == "staticmethod"
                              for d in fn.decorator_list):
         positional = positional[1:]  # self or cls
     first = len(positional) - len(fn.args.defaults)
-    for index, arg in enumerate(positional[first:], first):
-        yield arg.arg, index
+    for index, (arg, default) in enumerate(zip(positional[first:], fn.args.defaults), first):
+        yield arg.arg, index, default
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def _calls(trees) -> dict[str, list]:
@@ -124,12 +125,24 @@ def _calls(trees) -> dict[str, list]:
     return out
 
 
-def _passes(call: ast.Call, param: str, position) -> bool:
-    if any(k.arg in (param, None) for k in call.keywords):  # None: a ** unpacking
+def _is_default(arg, default) -> bool:
+    """Whether ``arg`` is the default's own literal, which sets nothing."""
+    try:
+        value, fallback = ast.literal_eval(arg), ast.literal_eval(default)
+    except ValueError:
+        return False
+    return (type(value), value) == (type(fallback), fallback)
+
+
+def _passes(call: ast.Call, param: str, position, default) -> bool:
+    if any(k.arg is None for k in call.keywords):  # a ** unpacking
+        return True
+    if any(k.arg == param and not _is_default(k.value, default) for k in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return position is not None and position < len(call.args)
+    return (position is not None and position < len(call.args)
+            and not _is_default(call.args[position], default))
 
 
 def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md",
@@ -159,8 +172,8 @@ def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md",
             calls = src_calls.get(called, [])
             if name in exported or name in documented:
                 calls = calls + test_calls.get(called, [])
-            for param, position in _defaulted(fn, "." in qualname):
-                if not any(_passes(c, param, position) for c in calls):
+            for param, position, default in _defaulted(fn, "." in qualname):
+                if not any(_passes(c, param, position, default) for c in calls):
                     out.append(f"{module}:{qualname.replace('.__init__', '')}({param})")
     return out
 
@@ -190,6 +203,11 @@ def test_an_unset_parameter_is_reported(tmp_path):
     assert unset_parameters(tmp_path, readme, tests) == [
         "a.py:helper(never)", "a.py:documented(knob)", "a.py:K(y)", "a.py:K.twice(times)",
         "a.py:K.make(n)"]
+    # a call that passes the default's literal, by keyword or by position, sets nothing
+    (tests / "test_a.py").write_text("exported(1)\ndocumented(knob=0)\n")
+    assert unset_parameters(tmp_path, readme, tests) == [
+        "a.py:exported(x)", "a.py:helper(never)", "a.py:documented(knob)", "a.py:K(y)",
+        "a.py:K.twice(times)", "a.py:K.make(n)"]
 
 
 # the only functions that may name each Hermiticity check: check_hermitian where a

@@ -116,8 +116,8 @@ def test_reductions_share_spectrum():
     rng = np.random.default_rng(3)
     for _ in range(50):
         psi = random_pure((4, 6), rng)
-        wa = partial_trace_pure(psi, 1, "A").eigenvalues()
-        wb = partial_trace_pure(psi, 1, "B").eigenvalues()
+        wa = partial_trace_pure(psi, 1).eigenvalues()
+        wb = partial_trace(psi.projector(), [1]).eigenvalues()
         lam2 = np.sort(schmidt(psi).coefficients ** 2)
         assert np.allclose(np.sort(wa)[-lam2.size:], lam2, atol=1e-10)
         assert np.allclose(np.sort(wb)[-lam2.size:], lam2, atol=1e-10)
@@ -193,7 +193,7 @@ def test_von_neumann_entropy_values():
     for d in (2, 3, 8):
         mixed = DensityMatrix((d,), np.eye(d) / d)
         assert von_neumann_entropy(mixed) == pytest.approx(np.log2(d))
-    red = partial_trace_pure(max_entangled(4), 1, "A")
+    red = partial_trace_pure(max_entangled(4), 1)
     assert von_neumann_entropy(red) == pytest.approx(2.0)
     assert von_neumann_entropy(red, base="e") == pytest.approx(np.log(4))
 
@@ -238,7 +238,7 @@ def test_mutual_information():
     assert mutual_information(prod) == pytest.approx(0.0, abs=1e-9)
     # pure state: twice the entanglement entropy
     psi = random_pure((2, 4), rng)
-    expected = 2 * von_neumann_entropy(partial_trace_pure(psi, 1, "A"))
+    expected = 2 * von_neumann_entropy(partial_trace_pure(psi, 1))
     assert mutual_information(psi.projector()) == pytest.approx(expected, abs=1e-9)
     assert mutual_information(bell_state().projector()) == pytest.approx(2.0, abs=1e-9)
 
