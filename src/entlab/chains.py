@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .freefermion import check_anisotropy, xy_entropy_free_fermion
+from .freefermion import block_entropy_bits, check_anisotropy, xy_ground_covariance
 from .linalg import (BUDGET, PAULI_X, PAULI_Y, PAULI_Z, NumericalError, check_budget,
                      lanczos_lowest, require_hermitian)
 from .states import (
@@ -308,7 +308,8 @@ def free_fermion_entropy_scan(gamma: float, h: float, n: int, block_sizes,
                               bc: str = "periodic",
                               abscissa: str = "chord") -> EntropyScan:
     """Block-entropy scan of the XY ground state via the fermion covariance."""
-    entropies = xy_entropy_free_fermion(gamma, h, n, list(block_sizes), bc)
+    _, cov = xy_ground_covariance(gamma, h, n, bc)
+    entropies = [block_entropy_bits(cov, int(b)) for b in block_sizes]
     return _fit_scan(block_sizes, entropies, abscissa, n)
 
 
@@ -383,8 +384,10 @@ def mutual_info_area_check(ham: SpinHamiltonian, beta: float, cut: int):
 SPINS = (1.0, -1.0)  # the site values of a classical ring, in digit order
 
 
-def _ring_probabilities(coupling: float, beta: float, n: int) -> np.ndarray:
-    """Gibbs weights of the Ising ring ``E = -J sum s_i s_{i+1}``, ``J = coupling``.
+def _ring_probabilities(coupling: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, digits)`` of the Ising ring ``E = -J sum s_i s_{i+1}``, ``J = coupling``: the
+    Gibbs weight of each configuration c, and ``digits[c, i]``, the :data:`SPINS` index of
+    site i, digit i of c (site 0 least significant, unlike the Kronecker order elsewhere).
 
     Raises :class:`~entlab.linalg.NumericalError` if an energy or the sum of
     the weights is not finite.

@@ -132,14 +132,3 @@ def block_entropy_bits(cov: np.ndarray, n_block: int) -> float:
     # counts every pair exactly once
     return 0.5 * float(sum(binary_entropy((1.0 + v) / 2.0) for v in np.clip(w, -1, 1)))
 
-
-def xy_entropy_free_fermion(gamma: float, h: float, n: int, blocks,
-                            bc: str = "periodic") -> list[float]:
-    """Block entropies S({1..n_b}) in bits, one per block size in ``blocks``."""
-    _, cov = xy_ground_covariance(gamma, h, n, bc)
-    return [block_entropy_bits(cov, int(b)) for b in blocks]
-
-
-def xy_ground_energy_free_fermion(gamma: float, h: float, n: int,
-                                  bc: str = "periodic") -> float:
-    return xy_ground_covariance(gamma, h, n, bc)[0]

@@ -341,7 +341,7 @@ def _uniform_pbc(matrices: list[np.ndarray], n: int) -> MatrixProductState:
     site = np.stack([np.asarray(m, dtype=complex) for m in matrices])
     transfer = _transfer(site, site)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_sq = complex(np.trace(np.linalg.matrix_power(transfer, n))).real
+        norm_sq = complex(_contract([transfer] * n, "periodic")).real
     if not 0.0 < norm_sq < math.inf:
         raise NumericalError(f"the squared norm of the {n}-site periodic MPS is {norm_sq}, "
                              "outside the float range")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import chains, freefermion, haar, kinetic, measures, mps, states
 from .kinetic import KineticModel, TauSector
-from .linalg import PAULI_X, PAULI_Z, NumericalError, check_budget, kron
+from .linalg import PAULI_X, PAULI_Z, NumericalError, check_budget, kron, trace_norm
 from .linalg import lanczos_lowest  # noqa: F401  # a global here for the benchmark's probes
 
 TOLERANCES = MappingProxyType({
@@ -465,8 +465,7 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
         for at in _grid(t):
             a = kinetic.sector_split_evolve(rho0, model, at, sector_gen)
             b = kinetic.direct_evolve(rho0, model, at, generator)
-            dist = 0.5 * float(np.abs(np.linalg.svd(a.matrix - b.matrix,
-                                                    compute_uv=False)).sum())
+            dist = 0.5 * trace_norm(a.matrix - b.matrix)
             worst = max(worst, dist)
     # a diagonal start stays diagonal, and its diagonal follows classical_evolve
     p0 = starts[0].matrix.diagonal().real
@@ -648,11 +647,11 @@ def check_area_law_slopes(tol):
         for gamma, h in grid:
             ham = chains.build_xy(gamma, h, n)
             w, v = chains.ground_state(ham)  # dense at 10 sites, Lanczos at 12
-            ff_energy = freefermion.xy_ground_energy_free_fermion(gamma, h, n)
+            ff_energy, cov = freefermion.xy_ground_covariance(gamma, h, n)
             energy = max(energy, abs(w[0] - ff_energy))
             psi = states.PureState((2,) * n, v[:, 0])
             dense_s = chains.block_entropy_scan(psi, [n // 4, n // 2]).entropies_bits
-            ff_s = freefermion.xy_entropy_free_fermion(gamma, h, n, [n // 4, n // 2])
+            ff_s = [freefermion.block_entropy_bits(cov, b) for b in (n // 4, n // 2)]
             worst = max(worst, float(np.abs(np.array(dense_s) - np.array(ff_s)).max()))
     failed = ([f"critical Ising {f}" for f in ising.failed] + [f"XX {f}" for f in xx.failed]
               + _failed((worst <= tol["free_fermion_vs_dense"], "free-fermion-vs-dense",

@@ -230,14 +230,12 @@ def test_free_fermion_matches_dense_n12():
 
 
 def test_free_fermion_open_boundary():
-    from entlab.freefermion import xy_ground_energy_free_fermion
+    from entlab.freefermion import xy_ground_covariance
 
     n = 8
     ham = build_xy(0.9, 0.7, n, bc="open")
     w, _ = ground_state(ham, k=1)
-    assert xy_ground_energy_free_fermion(0.9, 0.7, n, bc="open") == pytest.approx(
-        w[0], abs=1e-10
-    )
+    assert xy_ground_covariance(0.9, 0.7, n, bc="open")[0] == pytest.approx(w[0], abs=1e-10)
 
 
 def test_deep_paramagnet_is_nearly_product():

@@ -3,7 +3,9 @@
 A top-level function or method stays only if another part of ``src/`` names
 it, ``entlab/__init__.py`` exports it, or ``README.md`` names it as API.
 Dunders and the ``@_criterion``-registered acceptance checks are exempt: the
-interpreter and :data:`entlab.selftest.REGISTRY` call them.
+interpreter and :data:`entlab.selftest.REGISTRY` call them.  The README's
+list of public API that no command calls names exactly the public functions
+that nothing in ``src/`` reads but functions on that list.
 
 A parameter with a default stays only if some call passes it, by keyword or
 by position, a value other than the default's own literal.  For a function
@@ -45,19 +47,31 @@ def _references(node) -> Counter:
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def unreached(src: Path = SRC, readme: Path = ROOT / "README.md") -> list[str]:
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+def _trees(src: Path) -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def _public(trees, readme: Path) -> set[str]:
+    """The names ``entlab/__init__.py`` exports or ``README.md`` names."""
     exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return exported | set(re.findall(r"\w+", readme.read_text()))
+
+
+def _exempt(fn) -> bool:
+    """Dunders and acceptance criteria, which the interpreter and the registry call."""
+    return fn.name.startswith("__") and fn.name.endswith("__") or _is_criterion(fn)
+
+
+def unreached(src: Path = SRC, readme: Path = ROOT / "README.md") -> list[str]:
+    trees = _trees(src)
+    public = _public(trees, readme)
     references = sum(map(_references, trees.values()), Counter())
-    documented = set(re.findall(r"\w+", readme.read_text()))
     out = []
     for module, tree in trees.items():
         for qualname, fn in _functions(tree):
             name = fn.name
-            if name.startswith("__") and name.endswith("__") or _is_criterion(fn):
-                continue
-            if name in exported or name in documented:
+            if _exempt(fn) or name in public:
                 continue
             if references[name] > _references(fn)[name]:  # named outside its own body
                 continue
@@ -80,6 +94,48 @@ def test_an_unreferenced_function_is_reported(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("`documented` is public API.\n")
     assert unreached(tmp_path, readme) == ["a.py:orphan", "a.py:K.unused"]
+
+
+def uncalled_public(src: Path = SRC, readme: Path = ROOT / "README.md") -> set[str]:
+    """The public functions that no command or criterion reaches.
+
+    A public function joins the set once every function, method or
+    module-level statement of ``src/`` that names it, itself aside, is in
+    the set; the set is grown to its fixed point."""
+    trees = _trees(src)
+    public = _public(trees, readme)
+    names = {f"{module}:{qualname}": fn.name for module, tree in trees.items()
+             for qualname, fn in _functions(tree) if fn.name in public and not _exempt(fn)}
+    readers = callers(set(names.values()), src)
+    out = set()
+    while grown := {q for q, name in names.items() if q not in out and readers[name] - {q} <= out}:
+        out |= grown
+    return {names[q] for q in out}
+
+
+def readme_uncalled(readme: Path = ROOT / "README.md") -> set[str]:
+    """The names the README lists as "public API that no command calls"."""
+    paragraph = next(p for p in readme.read_text().split("\n\n") if "no command calls" in p)
+    return set(re.findall(r"`(\w+)`", paragraph.split(" are public")[0]))
+
+
+def test_the_readme_lists_exactly_the_uncalled_public_api():
+    assert uncalled_public() == readme_uncalled()
+
+
+def test_public_api_reached_only_through_uncalled_api_is_uncalled(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import unused, shared, at_import\n")
+    (tmp_path / "a.py").write_text(
+        "def unused():\n    return unused() + helper() + shared()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def shared():\n    return 2\n\n"
+        "def command():\n    return shared()\n\n"
+        "def at_import():\n    return 3\n\n"
+        "TABLE = at_import()\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("`helper` is public API.\n")
+    # command, an internal function like a CLI handler, reaches shared
+    assert uncalled_public(tmp_path, readme) == {"unused", "helper"}
 
 
 # defaulted parameters kept although no src/ call sets them, each with its reason
@@ -154,10 +210,8 @@ def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md",
     calls in ``src/`` and ``tests/``.  A constructor's calls are those of its
     class.
     """
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    documented = set(re.findall(r"\w+", readme.read_text()))
+    trees = _trees(src)
+    public = _public(trees, readme)
     src_calls = _calls(trees.values())
     test_calls = _calls(ast.parse(path.read_text()) for path in sorted(tests.glob("*.py")))
     out = []
@@ -170,7 +224,7 @@ def unset_parameters(src: Path = SRC, readme: Path = ROOT / "README.md",
                 continue
             called = _call_name(qualname)
             calls = src_calls.get(called, [])
-            if name in exported or name in documented:
+            if name in public:
                 calls = calls + test_calls.get(called, [])
             for param, position, default in _defaulted(fn, "." in qualname):
                 if not any(_passes(c, param, position, default) for c in calls):
