@@ -392,6 +392,7 @@ def _ring_probabilities(coupling: float, beta: float, n: int) -> tuple[np.ndarra
     Raises :class:`~entlab.linalg.NumericalError` if an energy or the sum of
     the weights is not finite.
     """
+    check_budget("classical_ring_max_sites", n, "classical enumeration sites")
     d = len(SPINS)
     codes = np.arange(d ** n)
     digits = (codes[:, None] // d ** np.arange(n)[None, :]) % d
@@ -430,7 +431,6 @@ def classical_gibbs_mutual_info(coupling: float, beta: float, n: int, cut: int):
     Markov property forces to vanish.
     """
     check_cut(cut, n)
-    check_budget("classical_ring_max_sites", n, "classical enumeration sites")
     d = len(SPINS)
     p, digits = _ring_probabilities(coupling, beta, n)
     a = list(range(cut))

@@ -119,6 +119,8 @@ def sample_moments(m: int, n: int, samples: int, seed,
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"use at least {MIN_SAMPLES} samples")
+    if m < 1 or n < 1:
+        raise ValueError("m, n must be positive")
     check_budget("haar_max_amplitudes", m * n, "Haar state amplitudes m n")
     counts = _block_counts(samples)
     streams = np.random.SeedSequence(seed).spawn(len(counts))

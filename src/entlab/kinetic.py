@@ -435,6 +435,7 @@ def vectorized_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
     (single-flip family) or on the pair (i, i+1): the flip of both halves of
     the doubled code with value ``sqrt(w_i(sigma) w_i(tilde))``.
     """
+    check_budget("direct_evolve_max_sites", model.nsites, "direct integration sites")
     dim = 2 ** model.nsites
     rates, masks = _rate_table(model)
     diag = np.zeros(dim * dim)
@@ -445,11 +446,20 @@ def vectorized_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
                         [np.outer(root, root).ravel() for root in roots], diag)
 
 
+def _propagate(gen: scipy.sparse.csr_matrix, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(gen t) v; a product ``gen t`` outside the float range is a :class:`NumericalError`."""
+    with np.errstate(over="ignore"):
+        scaled = gen * t
+    if not np.isfinite(scaled.data).all():
+        raise NumericalError(f"the generator times t = {t} is not finite")
+    return scipy.sparse.linalg.expm_multiply(scaled, v)
+
+
 def _integrate(gen: scipy.sparse.csr_matrix, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """exp(gen t) applied to the row-major vectorized ``rho0``, as a state; exact
     evolution keeps it valid, so failing the 1e-8 checks is a :class:`NumericalError`."""
     dim = rho0.matrix.shape[0]
-    out = scipy.sparse.linalg.expm_multiply(gen * t, rho0.matrix.reshape(-1))
+    out = _propagate(gen, t, rho0.matrix.reshape(-1))
     try:
         return DensityMatrix(rho0.dims, out.reshape(dim, dim), tol=1e-8)
     except ValueError as exc:
@@ -464,7 +474,6 @@ def direct_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
     evolve several states or times with one build, or leave it None to
     build it here.
     """
-    check_budget("direct_evolve_max_sites", model.nsites, "direct integration sites")
     gen = vectorized_generator(model) if generator is None else generator
     return _integrate(gen, rho0, t)
 
@@ -525,7 +534,7 @@ def sector_split_evolve(rho0: DensityMatrix, model: KineticModel, t: float,
 def classical_evolve(p0: np.ndarray, model: KineticModel, t: float) -> np.ndarray:
     """Classical master-equation propagation of a probability vector."""
     gen = build_generator(model)
-    return scipy.sparse.linalg.expm_multiply(gen * t, np.asarray(p0, dtype=float))
+    return _propagate(gen, t, np.asarray(p0, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ BUDGET = MappingProxyType({
     # chains.thermal_state, kinetic.symmetrize, freefermion.xy_ground_covariance
     # (2N Majoranas), the measures and maps experiments (d^2)
     "full_spectrum_max_dim": 2 * 4096,
-    "classical_ring_max_sites": 20,        # chains.classical_gibbs_mutual_info
+    "classical_ring_max_sites": 20,        # chains._ring_probabilities
     "generator_max_sites": 20,             # kinetic.build_generator
-    "direct_evolve_max_sites": 7,          # kinetic.direct_evolve, kinetic evolve
+    "direct_evolve_max_sites": 7,          # kinetic.vectorized_generator
     "sector_evolve_max_sites": 10,         # kinetic.sector_generator
     "spectra_scan_max_sites": 17,          # kinetic.sector_spectra_scan
     "mps_dense_max_amplitudes": 2 ** 16,   # MatrixProductState.to_dense

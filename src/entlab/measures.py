@@ -48,7 +48,7 @@ from .states import (
 
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    w = np.linalg.eigvalsh(partial_transpose(rho, "B"))
+    w = np.linalg.eigvalsh(partial_transpose(rho))
     return float(-w[w < 0].sum())
 
 
@@ -58,7 +58,7 @@ def log_negativity(rho: DensityMatrix) -> float:
     Computed from the singular values, independently of :func:`negativity`;
     the two are related by ``E_N = log2(2 N + 1)``.
     """
-    return float(np.log2(trace_norm(partial_transpose(rho, "B"))))
+    return float(np.log2(trace_norm(partial_transpose(rho))))
 
 
 def concurrence_pure(psi: PureState) -> float:
@@ -153,12 +153,12 @@ def witness_from_npt(rho: DensityMatrix) -> Witness:
     Satisfies tr(W rho) = lambda_min < 0 by construction.  Raises on PPT
     input, where no such witness is derivable.
     """
-    w, v = np.linalg.eigh(partial_transpose(rho, "B"))
+    w, v = np.linalg.eigh(partial_transpose(rho))
     if w[0] >= -1e-10:
         raise ValueError("no NPT witness derivable: state has PPT")
     vec = v[:, 0]
     dims = (rho.dims[0], rho.dim // rho.dims[0])
-    return Witness(partial_transpose_matrix(np.outer(vec, vec.conj()), *dims, "B"), dims)
+    return Witness(partial_transpose_matrix(np.outer(vec, vec.conj()), *dims), dims)
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -167,7 +167,7 @@ def swap_operator(d: int) -> np.ndarray:
     Exact: d * P_plus = |e><e| with e = sum_i |ii> has integer entries.
     """
     e = np.eye(d, dtype=complex).ravel()
-    return partial_transpose_matrix(np.outer(e, e), d, d, "B")
+    return partial_transpose_matrix(np.outer(e, e), d, d)
 
 
 # ---------------------------------------------------------------------------

@@ -101,23 +101,13 @@ class MatrixProductState:
             amps = np.trace(acc, axis1=1, axis2=2)
         return self.scale * amps
 
-    def to_dense(self) -> tuple[PureState, float]:
-        """Normalized dense state plus the norm of the represented vector."""
+    def to_dense(self) -> PureState:
+        """The represented state as a normalized dense vector."""
         amps = self.dense_amplitudes()
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValueError("null state")
-        psi = PureState((self.local_dim,) * self.nsites, amps / norm)
-        return psi, norm
-
-    def copy(self) -> "MatrixProductState":
-        return MatrixProductState(
-            [t.copy() for t in self.tensors],
-            boundary=self.boundary,
-            scale=self.scale,
-            lambdas=None if self.lambdas is None else [l.copy() for l in self.lambdas],
-            canonical=self.canonical,
-        )
+        return PureState((self.local_dim,) * self.nsites, amps / norm)
 
 
 @dataclass(frozen=True)
@@ -135,15 +125,11 @@ class TruncationReport:
 # construction and gauges
 # ---------------------------------------------------------------------------
 
-def from_dense(psi: PureState,
-               dmax: int | None = None) -> tuple[MatrixProductState, TruncationReport]:
-    """Open-boundary MPS from a dense state by sequential SVD.
+def from_dense(psi: PureState) -> MatrixProductState:
+    """Exact open-boundary MPS of a dense state by sequential SVD, in canonical form.
 
-    Requires a uniform local dimension.  The state is first factored at full
-    rank (singular values above ``SCHMIDT_CUTOFF``) into canonical form; if
-    ``dmax`` caps the bonds, the canonical state is then truncated with
-    projector semantics, so the reported discarded weights are the exact
-    Schmidt tails of the input.
+    Requires a uniform local dimension.  Every singular value above
+    ``SCHMIDT_CUTOFF`` is kept; :func:`truncate` caps the bonds.
     """
     dims = set(psi.dims)
     if len(dims) != 1:
@@ -162,10 +148,7 @@ def from_dense(psi: PureState,
         v = (s[:, None] * vh)
         left = keep
     tensors.append(v.reshape(left, d, 1).transpose(1, 0, 2))
-    mps = canonicalize(MatrixProductState(tensors, boundary="open"))
-    if dmax is None or max(mps.bond_dims) <= dmax:
-        return mps, TruncationReport(tuple(0.0 for _ in range(n - 1)))
-    return truncate(mps, dmax)
+    return canonicalize(MatrixProductState(tensors, boundary="open"))
 
 
 def canonicalize(mps: MatrixProductState) -> MatrixProductState:
@@ -241,7 +224,7 @@ def truncate(mps: MatrixProductState, dmax: int) -> tuple[MatrixProductState, Tr
     Requires canonical input.  Projector semantics: the returned state is the
     input with every bond projected onto its ``dmax`` leading Schmidt vectors
     (no renormalization), so the reported bound ``2 sum eps`` applies to the
-    raw distance squared.
+    raw distance squared.  It stays canonical if no bond exceeded ``dmax``.
     """
     if dmax < 1:
         raise ValueError("bond dimension must be at least 1")
@@ -251,9 +234,6 @@ def truncate(mps: MatrixProductState, dmax: int) -> tuple[MatrixProductState, Tr
     eps = []
     for l in mps.lambdas:
         eps.append(float(l[dmax:].sum()) if l.size > dmax else 0.0)
-    report = TruncationReport(tuple(eps))
-    if max(mps.bond_dims) <= dmax:
-        return mps.copy(), report
     tensors = []
     for k, t in enumerate(mps.tensors):
         dl = min(t.shape[1], dmax) if k > 0 else t.shape[1]
@@ -261,9 +241,9 @@ def truncate(mps: MatrixProductState, dmax: int) -> tuple[MatrixProductState, Tr
         tensors.append(t[:, :dl, :dr].copy())
     lambdas = [l[:dmax].copy() for l in mps.lambdas]
     return (
-        MatrixProductState(tensors, boundary="open", scale=mps.scale,
-                           lambdas=lambdas, canonical=False),
-        report,
+        MatrixProductState(tensors, boundary="open", scale=mps.scale, lambdas=lambdas,
+                           canonical=max(mps.bond_dims) <= dmax),
+        TruncationReport(tuple(eps)),
     )
 
 
@@ -282,17 +262,17 @@ def renyi_truncation_bound(s_alpha: float, alpha: float, dmax: int) -> float:
 # contraction
 # ---------------------------------------------------------------------------
 
-def _transfer(ta: np.ndarray, tb: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
-    """Transfer matrix of one site, ``sum_ij op[j, i] conj(ta[j]) (x) tb[i]``.
+def _transfer(t: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
+    """Transfer matrix of one site, ``sum_ij op[j, i] conj(t[j]) (x) t[i]``.
 
-    Rows pair the left bonds of ``ta`` and ``tb``, columns their right bonds;
-    without ``op`` the physical index is contracted directly.
+    Rows pair the left bonds of the bra and the ket, columns their right
+    bonds; without ``op`` the physical index is contracted directly.
     """
     if op is None:
-        step = np.einsum("ixa,iyb->xyab", ta.conj(), tb)
+        step = np.einsum("ixa,iyb->xyab", t.conj(), t)
     else:
-        step = np.einsum("ji,jxa,iyb->xyab", op, ta.conj(), tb)
-    return step.reshape(ta.shape[1] * tb.shape[1], ta.shape[2] * tb.shape[2])
+        step = np.einsum("ji,jxa,iyb->xyab", op, t.conj(), t)
+    return step.reshape(t.shape[1] ** 2, t.shape[2] ** 2)
 
 
 def _contract(steps, boundary: str) -> complex:
@@ -318,9 +298,9 @@ def expectation(mps: MatrixProductState, ops: dict[int, np.ndarray]) -> complex:
             raise ValueError(f"operator at site {site} has shape {np.shape(op)}, not ({d}, {d})")
     ident = np.eye(d, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = _contract((_transfer(t, t, np.asarray(ops.get(k, ident), dtype=complex))
+        num = _contract((_transfer(t, np.asarray(ops.get(k, ident), dtype=complex))
                          for k, t in enumerate(mps.tensors)), mps.boundary)
-        den = _contract((_transfer(t, t) for t in mps.tensors), mps.boundary)
+        den = _contract((_transfer(t) for t in mps.tensors), mps.boundary)
         value = num / den
     if not np.isfinite([num, den, value]).all():
         raise NumericalError(f"expectation: the contraction {num} / {den} is not a finite ratio")
@@ -339,7 +319,7 @@ def _uniform_pbc(matrices: list[np.ndarray], n: int) -> MatrixProductState:
     leading eigenvalue far from 1.
     """
     site = np.stack([np.asarray(m, dtype=complex) for m in matrices])
-    transfer = _transfer(site, site)
+    transfer = _transfer(site)
     with np.errstate(over="ignore", invalid="ignore"):
         norm_sq = complex(_contract([transfer] * n, "periodic")).real
     if not 0.0 < norm_sq < math.inf:

@@ -210,10 +210,13 @@ def _random_qubits(sites: int, seed) -> states.PureState:
 
 
 def mps_roundtrip(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
-    """Random state to MPS and back; the fidelity counts where ``dmax`` is exact."""
+    """Random state to MPS, truncated to ``dmax`` if given, and back; the
+    fidelity counts where ``dmax`` is exact."""
     psi = _random_qubits(sites, seed)
-    state, _ = mps.from_dense(psi, dmax=dmax)
-    back, _ = state.to_dense()
+    state = mps.from_dense(psi)
+    if dmax is not None:
+        state, _ = mps.truncate(state, dmax)
+    back = state.to_dense()
     fidelity = abs(np.vdot(psi.amplitudes, back.amplitudes))
     defects = mps.canonical_defects(state) if state.canonical else {}
     exact = dmax is None or dmax >= 2 ** (sites // 2)
@@ -233,7 +236,7 @@ def mps_truncate(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
     if dmax is None:
         raise ValueError("truncation needs a bond dimension (--dmax)")
     psi = _random_qubits(sites, seed)
-    full, _ = mps.from_dense(psi)
+    full = mps.from_dense(psi)
     defect = max(mps.canonical_defects(full).values())
     failed = _failed((defect <= tol["mps_canonical"], "canonical-form", f"defect {defect:.1e}"))
     for bond in _grid(dmax):
@@ -270,7 +273,7 @@ def named_state(name: str, sites: int, tol=TOLERANCES, save=None) -> Outcome:
     values = {"state": name, "sites": sites, "bond_dims": state.bond_dims,
               "scale": abs(state.scale)}
     if name in ("ghz", "af-ghz"):
-        psi, _ = state.to_dense()
+        psi = state.to_dense()
         target = np.zeros(2 ** n, dtype=complex)
         if name == "ghz":
             target[0] = target[-1] = 1 / math.sqrt(2)
@@ -296,7 +299,7 @@ def named_state(name: str, sites: int, tol=TOLERANCES, save=None) -> Outcome:
         # also bounds the energy gap, |<psi|H - E0|psi>| <= ||(H - E0) psi||.
         # The dense MPS budget is the oracle's reach: to_dense raises
         # ResourceLimitError beyond it.
-        psi, _ = state.to_dense()
+        psi = state.to_dense()
         op = (chains.build_aklt if name == "aklt" else chains.build_mg)(n).operator()
         e0 = float(chains.lowest_levels(op)[0])
         resid = float(np.linalg.norm(op @ psi.amplitudes - e0 * psi.amplitudes))
@@ -327,7 +330,7 @@ def classical_superposition(n: int, beta: float, coupling: float,
     # degenerate there, and the MPS weights overflow from beta J > 1419 on
     model.beta
     state = mps.classical_superposition_mps(coupling, beta, n)
-    psi, _ = state.to_dense()
+    psi = state.to_dense()
     energies = kinetic.ising_energies(n, coupling)
     target = np.exp(-0.5 * beta * (energies - energies.min()))
     target /= np.linalg.norm(target)
@@ -453,13 +456,12 @@ def sector_evolution(n: int, beta: float, t, initial_states: int, seed: int,
 
     The sector generator and the vectorized generator depend on the model
     only; they are built once per call and shared by every (state, time)."""
-    # direct_evolve's limit, checked before the sector generator is built
-    check_budget("direct_evolve_max_sites", n, "oracle comparison sites")
     model = KineticModel.thermal("two-flip", n, beta)
+    # the oracle's generator first: it checks direct_evolve's limit
+    generator = kinetic.vectorized_generator(model)
+    sector_gen = kinetic.sector_generator(model)
     rng = np.random.default_rng(seed)
     starts = [states.random_density((2,) * n, rng) for _ in range(initial_states)]
-    sector_gen = kinetic.sector_generator(model)
-    generator = kinetic.vectorized_generator(model)
     worst = 0.0
     for rho0 in starts:
         for at in _grid(t):
@@ -561,7 +563,7 @@ def check_ppt_negative_counts(tol):
     for rank in (2, 3, 4):
         for _ in range(200):
             psi = states.random_schmidt_rank_state(4, 4, rank, rng)
-            w = np.linalg.eigvalsh(states.partial_transpose(psi.projector(), "A"))
+            w = np.linalg.eigvalsh(states.partial_transpose(psi.projector()))
             bad += int((w < -negative).sum()) != rank * (rank - 1) // 2
     detail = f"{bad} miscounted spectra out of 600"
     return _failed((bad == 0, "negative-eigenvalue-count", detail)), detail

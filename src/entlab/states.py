@@ -182,33 +182,27 @@ def partial_trace_pure(psi: PureState, cut: int) -> DensityMatrix:
     return DensityMatrix(psi.dims[:cut], mat @ mat.conj().T)
 
 
-def partial_transpose_matrix(mat: np.ndarray, da: int, db: int, subsystem: str = "A") -> np.ndarray:
-    """Partial transpose of a raw ``(da*db, da*db)`` matrix."""
-    t = np.asarray(mat).reshape(da, db, da, db)
-    if subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("subsystem must be 'A' or 'B'")
+def partial_transpose_matrix(mat: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Partial transpose of a raw ``(da*db, da*db)`` matrix on its second
+    (``db``-dimensional) factor."""
+    t = np.asarray(mat).reshape(da, db, da, db).transpose(0, 3, 2, 1)
     return t.reshape(da * db, da * db)
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
-    """Transpose one side of the split after the first subsystem, leaving the
-    other untouched.
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose the side after the first subsystem, leaving the first untouched:
+    ``rho_pt[(i, nu), (j, mu)] = rho[(i, mu), (j, nu)]``.
 
-    For ``subsystem='A'`` the entry rule is
-    ``rho_pt[(j, mu), (i, nu)] = rho[(i, mu), (j, nu)]``.
-    Returns a plain Hermitian matrix; it is generally not PSD.
+    The other side's transpose is the full transpose of this one, with the
+    same spectrum.  Returns a plain Hermitian matrix; it is generally not PSD.
     """
-    return partial_transpose_matrix(rho.matrix, *_split_dims(rho.dims, 1), subsystem)
+    return partial_transpose_matrix(rho.matrix, *_split_dims(rho.dims, 1))
 
 
 def is_ppt(rho: DensityMatrix, tol: float = 1e-10) -> tuple[bool, float]:
     """PPT test across the split after the first subsystem; returns
     (verdict, min eigenvalue).  Public API that no command calls."""
-    w = np.linalg.eigvalsh(partial_transpose(rho, "A"))
+    w = np.linalg.eigvalsh(partial_transpose(rho))
     return bool(w[0] >= -tol), float(w[0])
 
 

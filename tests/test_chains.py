@@ -141,7 +141,7 @@ def test_aklt_mps_is_exact_ground_state():
     n = 6
     ham = build_aklt(n)
     h = ham.dense()
-    psi, _ = aklt_mps(n).to_dense()
+    psi = aklt_mps(n).to_dense()
     e = float(np.real(psi.amplitudes.conj() @ h @ psi.amplitudes))
     w, _ = ground_state(ham, k=1)
     assert e == pytest.approx(w[0], abs=1e-8)
@@ -153,7 +153,7 @@ def test_mg_mps_is_exact_ground_state():
     ham = build_mg(n)
     h = ham.dense()
     w = np.linalg.eigvalsh(h)
-    psi, _ = majumdar_ghosh_mps(n).to_dense()
+    psi = majumdar_ghosh_mps(n).to_dense()
     resid = np.linalg.norm(h @ psi.amplitudes - w[0] * psi.amplitudes)
     assert resid <= 1e-8
     assert w[0] == pytest.approx(-3 * n, abs=1e-10)
@@ -165,7 +165,7 @@ def test_cluster_mps_matches_stabilizer_hamiltonian():
     n = 6
     sign = CLUSTER_STABILIZER_SIGN
     ham = build_cluster(sign, n)
-    psi, _ = cluster_mps(n).to_dense()
+    psi = cluster_mps(n).to_dense()
     e = float(np.real(psi.amplitudes.conj() @ ham.dense() @ psi.amplitudes))
     # the state is the sign-eigenstate of every term, so the energy is sign^2 * n
     assert e == pytest.approx(sign * sign * n, abs=1e-9)

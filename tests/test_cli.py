@@ -124,7 +124,7 @@ def test_mps_commands(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["dense_form_deviation"] <= TOLERANCES["named_state_dense_form"]
 
-    # a capped bond: from_dense returns through truncate
+    # a capped bond: the round trip truncates to --dmax
     assert run(tmp_path, "mps", "roundtrip", "--sites", "8", "--dmax", "2") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fidelity"] < 1 and max(doc["bond_dims"]) <= 2
@@ -621,6 +621,8 @@ def test_main_calls_the_command_global_once(tmp_path, monkeypatch, capsys):
      "simple_bound_nats"),
     (("mutualinfo", "classical", "--sites", "6", "--cut", "3", "--coupling", "1e308",
       "--beta", "10"), "Ising ring energies"),
+    (("kinetic", "evolve", "--sites", "4", "--initial-states", "1", "--t", "1e308"),
+     "the generator times t = 1e+308 is not finite"),
 ])
 def test_an_overflowing_result_is_a_numerical_failure(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 4
@@ -747,6 +749,8 @@ NO_FINITE_BETA = "invalid configuration: needs a finite-temperature parametrizat
     # at N = 2b + 1 the chord abscissae of blocks b and b + 1 coincide
     (("arealaw", "--gamma", "1", "--h", "1", "--sites", "7", "--nmin", "3", "--nmax", "4"),
      "a slope fit needs at least two distinct abscissae"),
+    # checked before the budget and before any draw
+    (("page", "--m", "-1", "--n", "2"), "m, n must be positive"),
 ])
 def test_inputs_outside_the_derivations_are_invalid_configurations(tmp_path, capsys, argv,
                                                                     rule):

@@ -357,12 +357,16 @@ def _over_budget_cases():
             selftest.classical_superposition(17, 0.6, 1.0)),
         "classical_ring_max_sites": lambda: chains.classical_gibbs_mutual_info(
             1.0, 0.5, 21, 10),
+        "classical_ring_max_sites (markov_violation)": lambda: chains.markov_violation(
+            1.0, 0.5, 21, 0, 10),
         "generator_max_sites": lambda: kinetic.build_generator(
             KineticModel.thermal("single-flip", 21, 0.4)),
         "direct_evolve_max_sites": lambda: kinetic.direct_evolve(
             rho8, KineticModel.thermal("two-flip", 8, 0.4), 0.1),
         "direct_evolve_max_sites (kinetic evolve)": lambda: selftest.sector_evolution(
             8, 0.4, 0.1, 1, seed=0),
+        "direct_evolve_max_sites (vectorized_generator)": lambda: kinetic.vectorized_generator(
+            KineticModel.thermal("two-flip", 8, 0.4)),
         "sector_evolve_max_sites": lambda: kinetic.sector_generator(
             KineticModel.thermal("two-flip", 11, 0.4)),
         "spectra_scan_max_sites": lambda: kinetic.sector_spectra_scan(
@@ -417,8 +421,8 @@ def test_cheap_limits_pass_at_their_value():
     rho7 = states.random_density((2,) * 7, np.random.default_rng(0))
     model7 = KineticModel.thermal("two-flip", 7, 0.4)
     assert kinetic.direct_evolve(rho7, model7, 0.1).dims == (2,) * 7
-    assert mps.ghz_mps(16).to_dense()[0].dim == 2 ** 16
-    assert mps.aklt_mps(10).to_dense()[0].dim == 3 ** 10
+    assert mps.ghz_mps(16).to_dense().dim == 2 ** 16
+    assert mps.aklt_mps(10).to_dense().dim == 3 ** 10
     assert BUDGET["haar_max_amplitudes"] == 128 * 128
     assert selftest.lubkin(128, 128, 100, 0).values["samples"] == 100
 

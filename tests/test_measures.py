@@ -178,7 +178,7 @@ def test_witness_from_npt_bell():
 def test_witness_from_npt_werner_family():
     for p in (0.5, 0.8, 1.0):
         rho = werner_like(p)
-        w = np.linalg.eigvalsh(partial_transpose(rho, "B"))
+        w = np.linalg.eigvalsh(partial_transpose(rho))
         assert w[0] == pytest.approx((1 - 3 * p) / 4, abs=1e-12)
         wit = witness_from_npt(rho)
         assert witness_value(wit, rho) == pytest.approx((1 - 3 * p) / 4, abs=1e-10)
@@ -195,15 +195,14 @@ def checked_measures(rho):
     witness_from_npt operator with every derived matrix passed through
     check_hermitian before its eigensolve."""
     da = rho.dims[0]
-    pt_b = check_hermitian(partial_transpose(rho, "B"))
+    pt_b = check_hermitian(partial_transpose(rho))
     w_b = np.linalg.eigvalsh(pt_b)
-    w_a = np.linalg.eigvalsh(check_hermitian(partial_transpose(rho, "A")))
     out = {"negativity": float(-w_b[w_b < 0].sum()),
-           "log_negativity": float(np.log2(trace_norm(partial_transpose(rho, "B")))),
-           "is_ppt": (bool(w_a[0] >= -1e-10), float(w_a[0]))}
+           "log_negativity": float(np.log2(trace_norm(partial_transpose(rho)))),
+           "is_ppt": (bool(w_b[0] >= -1e-10), float(w_b[0]))}
     w, v = np.linalg.eigh(pt_b)
     if w[0] < -1e-10:
-        op = partial_transpose_matrix(np.outer(v[:, 0], v[:, 0].conj()), da, rho.dim // da, "B")
+        op = partial_transpose_matrix(np.outer(v[:, 0], v[:, 0].conj()), da, rho.dim // da)
         out["witness"] = check_hermitian(np.asarray(op, dtype=complex))
     if rho.dims == (2, 2):
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -273,7 +272,7 @@ def test_apply_map_identity_and_transposition():
     ident = unitary_conjugation_map(np.eye(3))
     assert np.allclose(ident(rho.matrix), rho.matrix, atol=1e-12)
     t = transposition_map(3)
-    assert np.allclose(t(rho.matrix), partial_transpose(rho, "B"), atol=1e-12)
+    assert np.allclose(t(rho.matrix), partial_transpose(rho), atol=1e-12)
 
 
 def test_reduction_map_detects_max_entangled():
@@ -366,7 +365,7 @@ def test_closed_form_chois_equal_their_constructions():
         assert np.array_equal(transposition_map(d).choi, blockwise_choi(d, lambda e: e.T))
         swap = swap_operator(d)
         assert np.array_equal(swap, blockwise_choi(d, lambda e: e.T))
-        via_pt = partial_transpose_matrix(d * max_entangled(d).projector().matrix, d, d, "B")
+        via_pt = partial_transpose_matrix(d * max_entangled(d).projector().matrix, d, d)
         assert np.abs(swap - via_pt).max() <= 1e-15
 
 
@@ -518,7 +517,7 @@ def test_decomposable_witness_blind_to_ppt():
         p = random_psd(4, rng)
         q = random_psd(4, rng)
         witnesses.append(p / np.trace(p).real
-                         + partial_transpose_matrix(q / np.trace(q).real, 2, 2, "B"))
+                         + partial_transpose_matrix(q / np.trace(q).real, 2, 2))
     ppt_states = []
     trial = 0
     while len(ppt_states) < 200:

@@ -56,13 +56,13 @@ def test_from_dense_product_state():
     for v in locals_[1:]:
         amp = np.kron(amp, v)
     amp /= np.linalg.norm(amp)
-    mps, report = from_dense(PureState((2,) * 5, amp))
+    mps = from_dense(PureState((2,) * 5, amp))
     assert max(mps.bond_dims) == 1
-    assert report.bound == 0.0
+    assert mps.canonical and all(np.allclose(lam, [1.0], atol=1e-12) for lam in mps.lambdas)
 
 
 def test_from_dense_bell_pair():
-    mps, _ = from_dense(dense_ghz(2))
+    mps = from_dense(dense_ghz(2))
     assert mps.bond_dims == [1, 2, 1]
     assert np.allclose(np.sort(mps.lambdas[0]), [0.5, 0.5], atol=1e-12)
 
@@ -70,15 +70,15 @@ def test_from_dense_bell_pair():
 def test_from_dense_roundtrip_full_rank():
     rng = np.random.default_rng(1)
     psi = random_pure((2,) * 8, rng)
-    mps, report = from_dense(psi, dmax=16)
-    assert report.bound == 0.0
-    back, norm = mps.to_dense()
+    mps, report = truncate(from_dense(psi), 16)
+    assert report.bound == 0.0 and mps.canonical
+    back = mps.to_dense()
     assert abs(np.vdot(psi.amplitudes, back.amplitudes)) >= 1 - 1e-10
-    assert norm == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(mps.dense_amplitudes()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_canonicalize_gauge_invariance_ghz():
-    mps, _ = from_dense(dense_ghz(6))
+    mps = from_dense(dense_ghz(6))
     # scramble the gauge with random invertible bond transformations
     rng = np.random.default_rng(2)
     tensors = [t.copy() for t in mps.tensors]
@@ -92,8 +92,8 @@ def test_canonicalize_gauge_invariance_ghz():
     canon = canonicalize(scrambled)
     for lam in canon.lambdas:
         assert np.allclose(np.sort(lam), [0.5, 0.5], atol=1e-10)
-    orig, _ = mps.to_dense()
-    new, _ = canon.to_dense()
+    orig = mps.to_dense()
+    new = canon.to_dense()
     assert abs(np.vdot(orig.amplitudes, new.amplitudes)) >= 1 - 1e-10
 
 
@@ -110,8 +110,8 @@ def test_canonical_conditions_random_mps():
         canon = canonicalize(raw)
         defects = canonical_defects(canon)
         assert max(defects.values()) <= 1e-8
-        a, _ = raw.to_dense()
-        b, _ = canon.to_dense()
+        a = raw.to_dense()
+        b = canon.to_dense()
         assert abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1 - 1e-10
 
 
@@ -140,16 +140,18 @@ def test_truncate_requires_canonical():
 
 
 def test_truncate_identity_when_d_large():
-    mps, _ = from_dense(dense_ghz(6))
+    mps = from_dense(dense_ghz(6))
     out, report = truncate(mps, 2)
     assert report.bound == 0.0
     assert out.bond_dims == mps.bond_dims
+    assert out.canonical and max(canonical_defects(out).values()) <= 1e-10
 
 
 def test_truncate_ghz_to_product():
     n = 6
-    mps, _ = from_dense(dense_ghz(n))
+    mps = from_dense(dense_ghz(n))
     out, report = truncate(mps, 1)
+    assert not out.canonical
     assert np.allclose(report.discarded, [0.5] * (n - 1))
     assert report.bound == pytest.approx(n - 1.0)
     psi = dense_ghz(n).amplitudes
@@ -161,7 +163,7 @@ def test_truncation_bound_random_states():
     rng = np.random.default_rng(5)
     for trial in range(100):
         psi = random_pure((2,) * 8, rng)
-        full, _ = from_dense(psi)
+        full = from_dense(psi)
         for dmax in (1, 2, 4):
             out, report = truncate(full, dmax)
             dist_sq = np.linalg.norm(psi.amplitudes - out.dense_amplitudes()) ** 2
@@ -197,7 +199,7 @@ def test_lambdas_are_squared_schmidt_coefficients():
     for _ in range(20):
         n = int(rng.integers(3, 9))
         psi = random_pure((2,) * n, rng)
-        canon, _ = from_dense(psi)
+        canon = from_dense(psi)
         for cut in range(1, n):
             lam2 = np.sort(schmidt(psi, cut).coefficients ** 2)
             stored = np.sort(canon.lambdas[cut - 1])
@@ -218,7 +220,7 @@ def test_canonicalize_idempotent():
 def test_block_entropy_matches_dense():
     rng = np.random.default_rng(7)
     psi = random_pure((2,) * 8, rng)
-    mps, _ = from_dense(psi)
+    mps = from_dense(psi)
     for cut in range(1, 8):
         s_mps = entropy_from_probabilities(mps.lambdas[cut - 1], 2)
         s_dense = von_neumann_entropy(partial_trace_pure(psi, cut))
@@ -226,14 +228,14 @@ def test_block_entropy_matches_dense():
 
 
 def test_ghz_mps_dense_form():
-    psi, _ = ghz_mps(4).to_dense()
+    psi = ghz_mps(4).to_dense()
     target = dense_ghz(4).amplitudes
     assert min(np.linalg.norm(psi.amplitudes - target),
                np.linalg.norm(psi.amplitudes + target)) <= 1e-12
 
 
 def test_antiferro_ghz_dense_form():
-    psi, _ = antiferro_ghz_mps(4).to_dense()
+    psi = antiferro_ghz_mps(4).to_dense()
     target = np.zeros(16, dtype=complex)
     target[int("0101", 2)] = target[int("1010", 2)] = 1 / math.sqrt(2)
     assert min(np.linalg.norm(psi.amplitudes - target),
@@ -244,7 +246,7 @@ def test_expectation_matches_dense():
     rng = np.random.default_rng(16)
     # open random state via canonical form
     psi = random_pure((2,) * 8, rng)
-    state, _ = from_dense(psi)
+    state = from_dense(psi)
     ops = {}
     full = np.array([[1.0 + 0j]])
     for site in range(8):
@@ -261,7 +263,7 @@ def test_expectation_matches_dense():
     from entlab.mps import aklt_mps
 
     aklt = aklt_mps(6)
-    dense_state, _ = aklt.to_dense()
+    dense_state = aklt.to_dense()
     sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     op = np.array([[1.0 + 0j]])
     for site in range(6):
@@ -281,7 +283,7 @@ def test_ghz_correlations():
 def test_cluster_stabilizers_single_sign():
     for n in (5, 6, 8):
         mps = cluster_mps(n)
-        psi, _ = mps.to_dense()
+        psi = mps.to_dense()
         vals = []
         for i in range(n):
             ops = {(i - 1) % n: PAULI_Z, i: PAULI_X, (i + 1) % n: PAULI_Z}
@@ -306,14 +308,14 @@ def test_majumdar_ghosh_even_only():
 
 def test_classical_superposition_infinite_temperature():
     mps = classical_superposition_mps(1.0, 0.0, 6)
-    psi, _ = mps.to_dense()
+    psi = mps.to_dense()
     assert np.allclose(np.abs(psi.amplitudes), 2 ** -3, atol=1e-12)
 
 
 def test_classical_superposition_matches_gibbs():
     n, beta, jcoup = 8, 0.6, 1.0
     mps = classical_superposition_mps(jcoup, beta, n)
-    psi, _ = mps.to_dense()
+    psi = mps.to_dense()
     spins = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)[None, :]) & 1)
     energy = -jcoup * (spins * np.roll(spins, -1, axis=1)).sum(axis=1)
     target = np.exp(-beta * energy / 2)
@@ -324,7 +326,7 @@ def test_classical_superposition_matches_gibbs():
 
 def test_classical_superposition_ground_state_limit():
     mps = classical_superposition_mps(1.0, 6.0, 6)
-    psi, _ = mps.to_dense()
+    psi = mps.to_dense()
     p = np.abs(psi.amplitudes) ** 2
     assert p[0] + p[-1] >= 0.99
 
@@ -338,8 +340,8 @@ def test_classical_superposition_area_law():
     # block entropy of the thermal superposition is bounded by log2 D = 1 bit
     for n in (6, 8, 10):
         mps = classical_superposition_mps(1.0, 0.7, n)
-        psi, _ = mps.to_dense()
-        canon, _ = from_dense(psi)
+        psi = mps.to_dense()
+        canon = from_dense(psi)
         for cut in range(1, n):
             assert entropy_from_probabilities(canon.lambdas[cut - 1], 2) <= 1.0 + 1e-9
         assert np.abs(psi.amplitudes.imag).max() <= 1e-12
@@ -415,7 +417,7 @@ def test_a_malformed_document_is_rejected(tmp_path, boundary, edit, message):
     # saved files come from outside the program: each shape rule is checked on load
     import json
 
-    state = ghz_mps(4) if boundary == "periodic" else from_dense(dense_ghz(4))[0]
+    state = ghz_mps(4) if boundary == "periodic" else from_dense(dense_ghz(4))
     assert state.boundary == boundary
     doc = to_json_dict(state)
     edit(doc)

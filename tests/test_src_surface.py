@@ -12,7 +12,8 @@ by position, a value other than the default's own literal.  For a function
 that ``entlab/__init__.py`` exports or ``README.md`` names, a call in
 ``src/`` or ``tests/`` counts; for any other function only a call in
 ``src/`` does.  :data:`KEPT_PARAMETERS` lists the exceptions with their
-reasons.
+reasons.  Each position of a returned tuple stays only if one of the same
+callers reads it; :data:`KEPT_RETURNS` lists the exceptions.
 """
 
 import ast
@@ -169,16 +170,23 @@ def _defaulted(fn, is_method: bool):
             yield arg.arg, None, default
 
 
-def _calls(trees) -> dict[str, list]:
-    """Every call in the sources, by the name it calls (a bare or attribute name)."""
+def _call_sites(trees) -> dict[str, list]:
+    """Every call in the sources as ``(call, parent node)``, by the name it calls
+    (a bare or attribute name)."""
     out: dict[str, list] = {}
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                out.setdefault(name, []).append(node)
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    out.setdefault(name, []).append((node, parent))
     return out
+
+
+def _calls(trees) -> dict[str, list]:
+    """Every call in the sources, by the name it calls."""
+    return {name: [call for call, _ in sites] for name, sites in _call_sites(trees).items()}
 
 
 def _is_default(arg, default) -> bool:
@@ -262,6 +270,89 @@ def test_an_unset_parameter_is_reported(tmp_path):
     assert unset_parameters(tmp_path, readme, tests) == [
         "a.py:exported(x)", "a.py:helper(never)", "a.py:documented(knob)", "a.py:K(y)",
         "a.py:K.twice(times)", "a.py:K.make(n)"]
+
+
+# returned tuple positions kept although no caller reads them, each with its reason
+KEPT_RETURNS = {
+    # the returned parity is the tests' only view of the parity= constraint
+    "freefermion.py:ground_covariance[2]",
+}
+
+
+def _returned_width(fn) -> int:
+    """The length of the longest tuple literal ``fn`` returns; 0 if it returns none."""
+    def returns(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Return):
+                yield child
+            elif not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from returns(child)
+
+    return max((len(r.value.elts) for r in returns(fn) if isinstance(r.value, ast.Tuple)),
+               default=0)
+
+
+def _reads(call: ast.Call, parent, width: int) -> set[int]:
+    """The positions of a returned tuple that one call site reads: all but those it
+    unpacks into ``_``, the one it indexes, or all for any other use."""
+    if (isinstance(parent, ast.Assign) and len(parent.targets) == 1
+            and isinstance(parent.targets[0], (ast.Tuple, ast.List))
+            and not any(isinstance(e, ast.Starred) for e in parent.targets[0].elts)):
+        return {i for i, e in enumerate(parent.targets[0].elts)
+                if not (isinstance(e, ast.Name) and e.id == "_")}
+    if (isinstance(parent, ast.Subscript) and parent.value is call
+            and isinstance(parent.slice, ast.Constant) and isinstance(parent.slice.value, int)):
+        return {parent.slice.value % width}
+    return set(range(width))
+
+
+def unread_returns(src: Path = SRC, readme: Path = ROOT / "README.md",
+                   tests: Path = TESTS) -> list[str]:
+    """Positions of a returned tuple that no caller reads, counting callers as
+    :func:`unset_parameters` does."""
+    trees = _trees(src)
+    public = _public(trees, readme)
+    src_sites = _call_sites(trees.values())
+    test_sites = _call_sites(ast.parse(path.read_text()) for path in sorted(tests.glob("*.py")))
+    out = []
+    for module, tree in trees.items():
+        for qualname, fn in _functions(tree):
+            width = _returned_width(fn)
+            if not width or _exempt(fn):
+                continue
+            called = _call_name(qualname)
+            sites = src_sites.get(called, [])
+            if fn.name in public:
+                sites = sites + test_sites.get(called, [])
+            read = set().union(*(_reads(call, parent, width) for call, parent in sites))
+            out += [f"{module}:{qualname}[{i}]" for i in range(width) if i not in read]
+    return out
+
+
+def test_every_returned_position_is_read_by_a_caller():
+    assert sorted(unread_returns()) == sorted(KEPT_RETURNS)
+
+
+def test_an_unread_returned_position_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    x, _ = pair()\n    return indexed()[1] + whole() + x\n\n"
+        "def pair():\n    return 1, 2\n\n"
+        "def indexed():\n    if True:\n        return 1, 2, 3\n    return None\n\n"
+        "def whole():\n    def inner():\n        return 1, 2\n    return inner()\n\n"
+        "class K:\n    def both(self):\n        return 1, 2\n\n"
+        "def bare():\n    return 1\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text("_, y = pair()\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("`exported` is public API.\n")
+    # a test's call counts for a public function only, and nothing calls K.both
+    assert unread_returns(tmp_path, readme, tests) == [
+        "a.py:pair[1]", "a.py:indexed[0]", "a.py:indexed[2]", "a.py:K.both[0]", "a.py:K.both[1]"]
+    readme.write_text("`pair` is public API.\n")
+    assert unread_returns(tmp_path, readme, tests) == [
+        "a.py:indexed[0]", "a.py:indexed[2]", "a.py:K.both[0]", "a.py:K.both[1]"]
 
 
 # the only functions that may name each Hermiticity check: check_hermitian where a

@@ -124,16 +124,14 @@ def test_reductions_share_spectrum():
 
 
 def test_partial_transpose_entry_rule():
-    rho = random_density((2, 2), np.random.default_rng(4))
-    pt = partial_transpose(rho, "A")
-    t = rho.matrix.reshape(2, 2, 2, 2)
+    rho = random_density((2, 3), np.random.default_rng(4))
+    pt = partial_transpose(rho).reshape(2, 3, 2, 3)
+    t = rho.matrix.reshape(2, 3, 2, 3)
     for i in range(2):
         for j in range(2):
-            for mu in range(2):
-                for nu in range(2):
-                    assert pt.reshape(2, 2, 2, 2)[j, mu, i, nu] == pytest.approx(
-                        t[i, mu, j, nu]
-                    )
+            for mu in range(3):
+                for nu in range(3):
+                    assert pt[i, nu, j, mu] == pytest.approx(t[i, mu, j, nu])
 
 
 @settings(max_examples=25, deadline=None)
@@ -141,10 +139,12 @@ def test_partial_transpose_entry_rule():
 def test_partial_transpose_involution_and_relation(da, db, seed):
     rng = np.random.default_rng(seed)
     rho = random_density((da, db), rng)
-    pta = partial_transpose(rho, "A")
-    assert np.allclose(partial_transpose_matrix(pta, da, db, "A"), rho.matrix, atol=1e-12)
-    ptb = partial_transpose(rho, "B")
-    assert np.allclose(ptb, pta.T, atol=1e-12)
+    ptb = partial_transpose(rho)
+    assert np.allclose(partial_transpose_matrix(ptb, da, db), rho.matrix, atol=1e-12)
+    # transposing the first side instead gives the full transpose, with the same spectrum
+    pta = rho.matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    assert np.allclose(ptb.T, pta, atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(ptb), np.linalg.eigvalsh(pta), atol=1e-12)
 
 
 def test_partial_transpose_basis_independent_spectrum():
@@ -154,8 +154,8 @@ def test_partial_transpose_basis_independent_spectrum():
     ub, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     u = kron(ua, ub)
     rot = DensityMatrix((2, 3), u @ rho.matrix @ u.conj().T)
-    w1 = np.sort(np.linalg.eigvalsh(partial_transpose(rho, "A")))
-    w2 = np.sort(np.linalg.eigvalsh(partial_transpose(rot, "A")))
+    w1 = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
+    w2 = np.sort(np.linalg.eigvalsh(partial_transpose(rot)))
     assert np.abs(w1 - w2).max() <= 1e-10
 
 
@@ -175,7 +175,7 @@ def test_ppt_negative_count_matches_schmidt_rank():
     for r in (2, 3, 4):
         for _ in range(30):
             psi = random_schmidt_rank_state(4, 4, r, rng)
-            w = np.linalg.eigvalsh(partial_transpose(psi.projector(), "A"))
+            w = np.linalg.eigvalsh(partial_transpose(psi.projector()))
             assert int((w < -1e-10).sum()) == r * (r - 1) // 2
 
 
