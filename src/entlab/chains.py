@@ -54,6 +54,7 @@ from .states import (
     entropy_from_probabilities,
     partial_trace,
     partial_trace_pure,
+    require_single,
     von_neumann_entropy,
 )
 
@@ -295,7 +296,7 @@ def _fit_scan(sizes, entropies, abscissa: str, nsites: int) -> EntropyScan:
 
 def block_entropy_scan(psi: PureState, block_sizes) -> EntropyScan:
     """Entropies of blocks {1..n} of a pure chain state, fit against log2 n."""
-    n = len(psi.dims)
+    n = len(require_single(psi).dims)
     entropies = []
     for b in block_sizes:
         if not 1 <= b < n:

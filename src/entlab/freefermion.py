@@ -87,7 +87,7 @@ def ground_covariance(k: np.ndarray, parity: int | None = None) -> tuple[float, 
     eps, o = _normal_modes(k)
     n = eps.size
     occupied = np.zeros(n, dtype=bool)
-    state_parity = 1 if np.linalg.det(o) > 0 else -1
+    state_parity = 1 if scipy.linalg.det(o) > 0 else -1
     energy = -0.5 * eps.sum()
     if parity is not None and state_parity != parity:
         flip = int(np.argmin(eps))

@@ -74,7 +74,7 @@ def _reduced_spectrum(m: int, n: int, rng, count: int = 1) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _block_counts(samples: int) -> list[int]:
+def block_counts(samples: int) -> list[int]:
     """Draws per block: MC_BLOCK each, the last block takes the remainder."""
     return [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
 
@@ -122,7 +122,7 @@ def sample_moments(m: int, n: int, samples: int, seed,
     if m < 1 or n < 1:
         raise ValueError("m, n must be positive")
     check_budget("haar_max_amplitudes", m * n, "Haar state amplitudes m n")
-    counts = _block_counts(samples)
+    counts = block_counts(samples)
     streams = np.random.SeedSequence(seed).spawn(len(counts))
 
     def run_block(task):

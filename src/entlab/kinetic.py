@@ -61,7 +61,7 @@ import scipy
 from .chains import SpinHamiltonian, lowest_levels
 from .linalg import PAULI_X, PAULI_Z, NumericalError, check_budget, check_hermitian
 from .linalg import lanczos_lowest  # noqa: F401  # a global here for the benchmark's probes
-from .states import DensityMatrix
+from .states import DensityMatrix, require_single
 
 
 FAMILIES = ("single-flip", "two-flip")
@@ -447,18 +447,24 @@ def vectorized_generator(model: KineticModel) -> scipy.sparse.csr_matrix:
 
 
 def _propagate(gen: scipy.sparse.csr_matrix, t: float, v: np.ndarray) -> np.ndarray:
-    """exp(gen t) v; a product ``gen t`` outside the float range is a :class:`NumericalError`."""
+    """exp(gen t) v; a product ``gen t`` outside the float range is a :class:`NumericalError`.
+
+    ``expm_multiply`` takes a number of steps that grows with the 1-norm of
+    ``gen t``, so that norm is checked against its budget before it runs.
+    """
     with np.errstate(over="ignore"):
         scaled = gen * t
     if not np.isfinite(scaled.data).all():
         raise NumericalError(f"the generator times t = {t} is not finite")
+    check_budget("evolve_max_norm_time", float(abs(scaled).sum(axis=0).max()),
+                 f"|t| * |generator|_1 at t = {t}")
     return scipy.sparse.linalg.expm_multiply(scaled, v)
 
 
 def _integrate(gen: scipy.sparse.csr_matrix, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """exp(gen t) applied to the row-major vectorized ``rho0``, as a state; exact
     evolution keeps it valid, so failing the 1e-8 checks is a :class:`NumericalError`."""
-    dim = rho0.matrix.shape[0]
+    dim = require_single(rho0).dim
     out = _propagate(gen, t, rho0.matrix.reshape(-1))
     try:
         return DensityMatrix(rho0.dims, out.reshape(dim, dim), tol=1e-8)

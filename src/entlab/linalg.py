@@ -64,6 +64,8 @@ BUDGET = MappingProxyType({
     "direct_evolve_max_sites": 7,          # kinetic.vectorized_generator
     "sector_evolve_max_sites": 10,         # kinetic.sector_generator
     "spectra_scan_max_sites": 17,          # kinetic.sector_spectra_scan
+    # |t| times the 1-norm of the generator, which sets expm_multiply's step count
+    "evolve_max_norm_time": 1e4,           # kinetic._propagate
     "mps_dense_max_amplitudes": 2 ** 16,   # MatrixProductState.to_dense
     "haar_max_amplitudes": 2 ** 14,        # m n of each Haar draw (haar.sample_moments)
 })
@@ -106,8 +108,9 @@ def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     return out
 
 
-def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD, ``a = U @ diag(s) @ Vh`` with singular values descending.
+def svd(a: np.ndarray, compute_uv: bool = True):
+    """Thin SVD, ``a = U @ diag(s) @ Vh`` with singular values descending;
+    only ``s`` if not ``compute_uv``.  A stack of matrices gives stacked factors.
 
     Falls back to the slower but more robust LAPACK gesvd driver if the
     default divide-and-conquer driver fails to converge.
@@ -116,9 +119,10 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise ValueError("svd requires finite entries")
     try:
-        return np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        return scipy.linalg.svd(a, full_matrices=False, compute_uv=compute_uv,
+                                lapack_driver="gesvd")
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -126,12 +130,13 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
 
     Returns ``(a + a^dag)/2`` in ``a``'s dtype (float64 for integers), which
     stabilizes downstream eigensolves.  Raises :class:`NotHermitianError` with
-    the max asymmetry otherwise, including for any non-finite entry.
+    the max asymmetry otherwise, including for any non-finite entry.  A 3-d
+    ``a`` is a stack: each matrix is tested against its own scale.
     """
     a = np.asarray(a)
     # one fresh C-ordered array holds A^dag, which the test reads by rows, and then
     # the result: the elementwise arithmetic of (A + A^dag)/2 without a conjugated copy
-    out = np.conjugate(a.T, order="C", dtype=np.result_type(a, 0.5))
+    out = np.conjugate(np.swapaxes(a, -1, -2), order="C", dtype=np.result_type(a, 0.5))
     _hermitian_test(a, tol, out)
     np.add(a, out, out=out)
     out /= 2
@@ -149,8 +154,22 @@ def _hermitian_test(a, tol: float, adjoint=None) -> None:
 
     Reads a dense ``a`` in blocks of rows of about 2^15 entries, against the
     same rows of ``adjoint`` (A^dag) if given, and a sparse one through its
-    stored entries.
+    stored entries.  A stack of small matrices is read whole, each matrix
+    against its own scale; the error names the first that fails.
     """
+    if isinstance(a, np.ndarray) and a.ndim == 3:
+        scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+        if not np.isfinite(scale).all():  # raised before A - A^dag is formed
+            raise NotHermitianError(math.nan, tol)
+        if adjoint is None:
+            adjoint = np.conjugate(np.swapaxes(a, 1, 2))
+        asym = np.abs(a - adjoint).max(axis=(1, 2), initial=0.0)
+        bound = tol * np.maximum(scale, 1.0)
+        failed = ~(asym <= bound)
+        if failed.any():
+            first = np.argmax(failed)
+            raise NotHermitianError(float(asym[first]), float(bound[first]))
+        return
     if isinstance(a, np.ndarray):  # not scipy.sparse.issparse: it would import scipy.sparse
         scale = asym = 0.0
         step = 2 ** 15 // (a.shape[1] or 1) or 1
@@ -174,11 +193,11 @@ def _hermitian_test(a, tol: float, adjoint=None) -> None:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+    """Sum of singular values of a square matrix, from a values-only SVD."""
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("trace norm expects a square matrix")
-    return float(svd(a)[1].sum())
+    return float(svd(a, compute_uv=False).sum())
 
 
 def lanczos_lowest(

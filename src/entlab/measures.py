@@ -7,6 +7,10 @@ transpose by two independent routes (eigenvalue sum vs trace norm), the
 two-qubit concurrence by the spin-flip construction, and the entanglement of
 formation from concurrence through the binary entropy function.  Every
 bipartite measure acts on the split after the first subsystem.
+:func:`concurrence_pure`, :func:`concurrence_2q`, :func:`eof_2q` and
+:func:`witness_value` also take a stack of states and return an array with
+one value per row, each bitwise the value of that state alone; the other
+functions take one state.
 
 Witnesses and maps
 ------------------
@@ -30,15 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_hermitian, kron, trace_norm
+from .linalg import check_hermitian, kron, svd, trace_norm
 from .states import (
+    SCHMIDT_CUTOFF,
     DensityMatrix,
     PureState,
     binary_entropy,
     partial_transpose,
     partial_transpose_matrix,
     random_separable,
-    schmidt,
+    require_single,
 )
 
 
@@ -46,9 +51,14 @@ from .states import (
 # measures
 # ---------------------------------------------------------------------------
 
+def _per_state(state, values: np.ndarray):
+    """``values``, one per row, for a stack; the one value as a float for one state."""
+    return values if state.count is not None else float(values[0])
+
+
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    w = np.linalg.eigvalsh(partial_transpose(rho))
+    w = np.linalg.eigvalsh(partial_transpose(require_single(rho)))
     return float(-w[w < 0].sum())
 
 
@@ -58,25 +68,37 @@ def log_negativity(rho: DensityMatrix) -> float:
     Computed from the singular values, independently of :func:`negativity`;
     the two are related by ``E_N = log2(2 N + 1)``.
     """
-    return float(np.log2(trace_norm(partial_transpose(rho))))
+    return float(np.log2(trace_norm(partial_transpose(require_single(rho)))))
 
 
-def concurrence_pure(psi: PureState) -> float:
-    """sqrt(2 (1 - tr rho_r^2)) for a bipartite pure state.
+def concurrence_pure(psi: PureState):
+    """sqrt(2 (1 - tr rho_r^2)) for a bipartite pure state, from its Schmidt
+    coefficients above ``SCHMIDT_CUTOFF``.
 
     The value does not depend on which reduction is used.
     """
-    lam2 = schmidt(psi).coefficients ** 2
-    return float(np.sqrt(max(2.0 * (1.0 - (lam2 ** 2).sum()), 0.0)))
+    if len(psi.dims) < 2:
+        raise ValueError("concurrence_pure requires a bipartite state")
+    da = psi.dims[0]
+    # the full SVD that schmidt takes: a values-only one can differ in the last bits
+    s = svd(psi.amplitudes.reshape(-1, da, psi.dim // da))[1]
+    kept = np.count_nonzero(s > SCHMIDT_CUTOFF, axis=1)  # descending: a leading run
+    purity = np.empty(len(s))
+    for k in np.unique(kept):
+        rows = kept == k
+        purity[rows] = ((s[rows, :k] ** 2) ** 2).sum(axis=1)
+    x = 2.0 * (1.0 - purity)
+    return _per_state(psi, np.sqrt(np.where(0.0 > x, 0.0, x)))
 
 
-def concurrence_2q(rho: DensityMatrix) -> float:
+def concurrence_2q(rho: DensityMatrix):
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
 
     The l_i are the decreasing eigenvalues of
     ``sqrt(sqrt(rho) rho~ sqrt(rho))`` with the spin-flipped state
     ``rho~ = (sy (x) sy) rho* (sy (x) sy)``, conjugation taken in the
-    sigma_z product basis.
+    sigma_z product basis.  Rows of a stack are grouped by the rank kept
+    below, so each gets the SVD of its own ``rank x rank`` matrix.
     """
     if rho.dims != (2, 2):
         raise ValueError("concurrence_2q requires a 2 x 2 bipartite state")
@@ -86,22 +108,25 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     # and A = V sqrt(D) comes from the clamped Hermitian eigendecomposition.
     # This is the same multiset as the nested-square-root formula but does not
     # amplify rank-deficiency noise through sqrt(0).
-    w, v = np.linalg.eigh(rho.matrix)
-    keep = w > 1e-14 * w[-1]
-    a = v[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
-    s = a.T @ yy @ a
-    lam = np.zeros(4)
-    sv = np.linalg.svd(s, compute_uv=False)
-    lam[: sv.size] = sv
-    lam.sort()
-    lam = lam[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    w, v = np.linalg.eigh(rho.matrix.reshape(-1, 4, 4))
+    rank = np.count_nonzero(w > 1e-14 * w[:, -1:], axis=1)  # ascending: a trailing run
+    lam = np.zeros((len(w), 4))
+    for r in np.unique(rank):
+        rows = rank == r
+        a = v[rows, :, 4 - r:] * np.sqrt(np.clip(w[rows, None, 4 - r:], 0.0, None))
+        lam[rows, :r] = np.linalg.svd(np.swapaxes(a, 1, 2) @ yy @ a, compute_uv=False)
+    lam.sort(axis=1)
+    lam = lam[:, ::-1]
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return _per_state(rho, np.where(c > 0.0, c, 0.0))
 
 
-def eof_2q(rho: DensityMatrix) -> float:
+def eof_2q(rho: DensityMatrix):
     """Two-qubit entanglement of formation in ebits."""
-    c = concurrence_2q(rho)
-    return binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+    c = np.atleast_1d(concurrence_2q(rho))
+    x = 1.0 - c * c
+    h = (1.0 + np.sqrt(np.where(0.0 > x, 0.0, x))) / 2.0
+    return _per_state(rho, np.array([binary_entropy(v) for v in h]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +139,8 @@ class Witness:
 
     Construction verifies the operator's shape, that it is Hermitian and has at
     least one negative eigenvalue, and spot-checks nonnegativity on the same 50
-    random separable states, drawn from seed 0, for every witness (a sanity
-    check, not a proof of witness-hood).
+    random separable states, drawn from seed 0 as one stack, for every witness
+    (a sanity check, not a proof of witness-hood).
     """
 
     operator: np.ndarray
@@ -130,21 +155,21 @@ class Witness:
         w = np.linalg.eigvalsh(operator)
         if w[0] >= -1e-12:
             raise ValueError("a witness must have a negative eigenvalue")
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            sigma = random_separable(dims[0], dims[1], rng)
-            val = np.trace(operator @ sigma.matrix).real
-            if val < -1e-9:
-                raise ValueError(f"negative on a separable sample: {val:.3e}")
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "dims", dims)
+        values = witness_value(self, random_separable(*dims, np.random.default_rng(0), 50))
+        negative = np.flatnonzero(values < -1e-9)
+        if negative.size:
+            raise ValueError(f"negative on a separable sample: {values[negative[0]]:.3e}")
 
 
-def witness_value(w: Witness, rho: DensityMatrix) -> float:
-    """tr(W rho); W and rho were verified Hermitian, so its imaginary part is roundoff."""
+def witness_value(w: Witness, rho: DensityMatrix):
+    """tr(W rho), one per row for a stack; W and rho were verified Hermitian, so
+    its imaginary part is roundoff."""
     if rho.dim != w.operator.shape[0]:
         raise ValueError("dimension mismatch")
-    return float(np.trace(w.operator @ rho.matrix).real)
+    products = w.operator @ rho.matrix.reshape(-1, rho.dim, rho.dim)
+    return _per_state(rho, np.trace(products, axis1=1, axis2=2).real)
 
 
 def witness_from_npt(rho: DensityMatrix) -> Witness:
@@ -153,7 +178,7 @@ def witness_from_npt(rho: DensityMatrix) -> Witness:
     Satisfies tr(W rho) = lambda_min < 0 by construction.  Raises on PPT
     input, where no such witness is derivable.
     """
-    w, v = np.linalg.eigh(partial_transpose(rho))
+    w, v = np.linalg.eigh(partial_transpose(require_single(rho)))
     if w[0] >= -1e-10:
         raise ValueError("no NPT witness derivable: state has PPT")
     vec = v[:, 0]

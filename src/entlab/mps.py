@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PAULI_Z, SIGMA_MINUS, SIGMA_PLUS, NumericalError, check_budget, svd
-from .states import SCHMIDT_CUTOFF, PureState
+from .states import SCHMIDT_CUTOFF, PureState, require_single
 
 # sign of <Z X Z> on the cluster-state matrices below, fixed by measurement
 CLUSTER_STABILIZER_SIGN = -1
@@ -131,7 +131,7 @@ def from_dense(psi: PureState) -> MatrixProductState:
     Requires a uniform local dimension.  Every singular value above
     ``SCHMIDT_CUTOFF`` is kept; :func:`truncate` caps the bonds.
     """
-    dims = set(psi.dims)
+    dims = set(require_single(psi).dims)
     if len(dims) != 1:
         raise ValueError("from_dense requires a uniform local dimension")
     d = dims.pop()
@@ -207,9 +207,13 @@ def canonical_defects(mps: MatrixProductState) -> dict[str, float]:
     lam_ext = [np.array([1.0])] + list(mps.lambdas) + [np.array([1.0])]
     for k in range(n):
         b = mps.tensors[k]
-        ident = sum(b[i] @ b[i].conj().T for i in range(b.shape[0]))
-        right = max(right, float(np.abs(ident - np.eye(b.shape[1])).max()))
-        moved = sum(b[i].conj().T @ np.diag(lam_ext[k]) @ b[i] for i in range(b.shape[0]))
+        d, left, _ = b.shape
+        # sum_i B_i B_i^dag and sum_i B_i^dag diag(lambda) B_i, one product each:
+        # the physical index joins the right bond, then the left one
+        rows = b.transpose(1, 0, 2).reshape(left, -1)
+        right = max(right, float(np.abs(rows @ rows.conj().T - np.eye(left)).max()))
+        weighted = (b * lam_ext[k][:, None]).reshape(d * left, -1)
+        moved = weighted.conj().T @ b.reshape(d * left, -1)
         transfer = max(transfer, float(np.abs(moved - np.diag(lam_ext[k + 1])).max()))
     for l in mps.lambdas:
         lam = max(lam, abs(float(l.sum()) - 1.0))

@@ -125,8 +125,10 @@ def witness(p: float, samples: int, seed, tol=TOLERANCES) -> Outcome:
     wit = measures.witness_from_npt(rho)
     value = measures.witness_value(wit, rho)
     rng = np.random.default_rng(seed)
-    minimum = min(measures.witness_value(wit, states.random_separable(2, 2, rng))
-                  for _ in range(samples))
+    # stacks of at most MC_BLOCK states: memory does not grow with samples
+    minimum = float(min(
+        measures.witness_value(wit, states.random_separable(2, 2, rng, count)).min()
+        for count in haar.block_counts(samples)))
     return Outcome(
         {"p": p, "value_on_target": value, "min_on_separable_samples": minimum,
          "samples": samples},
@@ -239,15 +241,14 @@ def mps_truncate(sites: int, dmax, seed, tol=TOLERANCES) -> Outcome:
     full = mps.from_dense(psi)
     defect = max(mps.canonical_defects(full).values())
     failed = _failed((defect <= tol["mps_canonical"], "canonical-form", f"defect {defect:.1e}"))
+    renyi = [states.renyi_entropy_from_spectrum(lam, 0.5, "e") for lam in full.lambdas]
     for bond in _grid(dmax):
         cut, report = mps.truncate(full, bond)
         actual = float(np.linalg.norm(psi.amplitudes - cut.dense_amplitudes()) ** 2)
         failed += _failed((actual <= report.bound + tol["mps_truncation_slack"],
                            "truncation-bound", f"{actual} > {report.bound}"))
-        margin = min((mps.renyi_truncation_bound(
-                          states.renyi_entropy_from_spectrum(lam, 0.5, "e"), 0.5, bond)
-                      - math.log(eps) for lam, eps in zip(full.lambdas, report.discarded)
-                      if eps > 0), default=None)
+        margin = min((mps.renyi_truncation_bound(h, 0.5, bond) - math.log(eps)
+                      for h, eps in zip(renyi, report.discarded) if eps > 0), default=None)
         failed += _failed((margin is None or margin >= -tol["renyi_truncation_slack"],
                            "renyi-truncation-bound", f"margin {margin}"))
     return Outcome(
@@ -542,14 +543,12 @@ def check_two_qubit_measures(tol):
     """Bell EoF, concurrence route agreement, and EoF = S(rho_A) on pure states."""
     limit = tol["two_qubit_consistency"]
     bell = states.bell_state().projector()
-    worst = abs(measures.eof_2q(bell) - 1.0)
-    rng = np.random.default_rng(20)
-    for _ in range(500):
-        psi = states.random_pure((2, 2), rng)
-        rho = psi.projector()
-        worst = max(worst, abs(measures.concurrence_2q(rho) - measures.concurrence_pure(psi)))
-        s_a = states.von_neumann_entropy(states.partial_trace_pure(psi, 1))
-        worst = max(worst, abs(measures.eof_2q(rho) - s_a))
+    psi = states.random_pure((2, 2), np.random.default_rng(20), 500)
+    rho = psi.projector()
+    s_a = states.von_neumann_entropy(states.partial_trace_pure(psi, 1))
+    worst = max(abs(measures.eof_2q(bell) - 1.0),
+                float(np.abs(measures.concurrence_2q(rho) - measures.concurrence_pure(psi)).max()),
+                float(np.abs(measures.eof_2q(rho) - s_a).max()))
     detail = f"max deviation {worst:.2e} over 500 states (tol {limit})"
     return _failed((worst <= limit, "two-qubit-consistency", detail)), detail
 
@@ -561,10 +560,9 @@ def check_ppt_negative_counts(tol):
     rng = np.random.default_rng(21)
     bad = 0
     for rank in (2, 3, 4):
-        for _ in range(200):
-            psi = states.random_schmidt_rank_state(4, 4, rank, rng)
-            w = np.linalg.eigvalsh(states.partial_transpose(psi.projector()))
-            bad += int((w < -negative).sum()) != rank * (rank - 1) // 2
+        psi = states.random_schmidt_rank_state(4, 4, rank, rng, 200)
+        w = np.linalg.eigvalsh(states.partial_transpose(psi.projector()))
+        bad += int(((w < -negative).sum(axis=1) != rank * (rank - 1) // 2).sum())
     detail = f"{bad} miscounted spectra out of 600"
     return _failed((bad == 0, "negative-eigenvalue-count", detail)), detail
 

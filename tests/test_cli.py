@@ -53,6 +53,17 @@ def test_resource_limit_exit_code(tmp_path, capsys):
         assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
+def test_long_kinetic_evolution_is_a_resource_limit(tmp_path, capsys):
+    # |t| |gen|_1 = 1.3e7: expm_multiply would run for many minutes
+    start = time.perf_counter()
+    assert run(tmp_path, "kinetic", "evolve", "--sites", "4", "--initial-states", "1",
+               "--t", "1e6") == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "evolve_max_norm_time" in err
+
+
 def test_page_checks_its_budget_before_the_closed_form(tmp_path, capsys):
     # the closed form's harmonic sum would have m n = 1e10 terms
     start = time.perf_counter()

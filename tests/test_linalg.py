@@ -369,6 +369,11 @@ def _over_budget_cases():
             KineticModel.thermal("two-flip", 8, 0.4)),
         "sector_evolve_max_sites": lambda: kinetic.sector_generator(
             KineticModel.thermal("two-flip", 11, 0.4)),
+        # |t| |gen|_1 = 1e6 * 13.3 at four sites, checked before expm_multiply runs
+        "evolve_max_norm_time": lambda: kinetic.classical_evolve(
+            np.full(16, 1 / 16), KineticModel.thermal("two-flip", 4, 0.4), 1e6),
+        "evolve_max_norm_time (kinetic evolve)": lambda: selftest.sector_evolution(
+            4, 0.4, 1e6, 1, seed=0),
         "spectra_scan_max_sites": lambda: kinetic.sector_spectra_scan(
             "two-flip", 18, [kinetic.TauSector.named("pair-up", 18)], [0.1]),
         "mps_dense_max_amplitudes": lambda: mps.ghz_mps(17).to_dense(),

@@ -246,6 +246,39 @@ def test_measures_are_bitwise_those_of_rechecked_partial_transposes(dims):
             assert same_float(concurrence_2q(rho), ref["concurrence_2q"])
             assert same_float(eof_2q(rho), ref["eof_2q"])
     assert witnesses >= 20  # the pure and rank-one states are NPT
+    # one stacked call: every row is the single call's value, bit for bit
+    stack = DensityMatrix(dims, np.stack([rho.matrix for rho in states]))
+    assert stack.count == len(states)
+    wit = witness_from_npt(states[-15])  # a pure state: NPT
+    values = witness_value(wit, stack)
+    assert [v.tobytes() for v in values] == [
+        np.float64(witness_value(wit, rho)).tobytes() for rho in states]
+    if dims == (2, 2):
+        for measure in (concurrence_2q, eof_2q):
+            assert [v.tobytes() for v in measure(stack)] == [
+                np.float64(measure(rho)).tobytes() for rho in states]
+
+
+def test_witness_samples_in_blocks_are_the_per_sample_minimum():
+    # 300 samples: one block of MC_BLOCK = 256 and one of 44
+    wit = witness_from_npt(werner_like(0.8))
+    rng = np.random.default_rng(9)
+    want = min(witness_value(wit, random_separable(2, 2, rng)) for _ in range(300))
+    got = selftest.witness(0.8, 300, 9).values["min_on_separable_samples"]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_pure_stacks_give_the_single_measures_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        psi = random_pure(dims, rng, 40)
+        singles = [PureState(dims, row) for row in psi.amplitudes]
+        assert [v.tobytes() for v in concurrence_pure(psi)] == [
+            np.float64(concurrence_pure(one)).tobytes() for one in singles]
+        entropies = von_neumann_entropy(partial_trace_pure(psi, 1))
+        assert [v.tobytes() for v in entropies] == [
+            np.float64(von_neumann_entropy(partial_trace_pure(one, 1))).tobytes()
+            for one in singles]
 
 
 def test_scaled_witness_value_is_real_and_scales():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab.chains import build_xy, thermal_state
+from entlab.chains import block_entropy_scan, build_xy, thermal_state
+from entlab.kinetic import KineticModel, direct_evolve
 from entlab.linalg import NotHermitianError, kron
+from entlab.measures import log_negativity, negativity, witness_from_npt
+from entlab.mps import from_dense
 from entlab.states import (
     DensityMatrix,
     PureState,
@@ -43,8 +46,12 @@ def product_state(*locals_):
 def test_purestate_validation():
     with pytest.raises(ValueError):
         PureState((2, 2), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as single:
         PureState((2,), np.array([1.0, 1.0]))
+    # a stack with one unnormalized row raises what that row alone raises
+    with pytest.raises(ValueError) as stacked:
+        PureState((2,), np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert str(stacked.value) == str(single.value)
 
 
 def test_density_validation():
@@ -278,6 +285,106 @@ def test_random_separable_matches_per_term_reference(da, db, nterms):
         assert np.array_equal(rho.matrix.view(np.uint8), ref.matrix.view(np.uint8))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert nterms != 1 or np.linalg.matrix_rank(rho.matrix) == 1
+    # a stack: row i is the i-th of successive per-term draws
+    seed = seeds_drawing(nterms, da, db)[0]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = random_separable(da, db, rng, 9)
+    assert stack.count == 9 and stack.matrix.shape == (9, da * db, da * db)
+    for row in stack.matrix:
+        ref = reference_random_separable(da, db, ref_rng)
+        assert np.array_equal(row.view(np.uint8), ref.matrix.view(np.uint8))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_random_pure(dims, rng):
+    """One Gaussian draw per part, divided by np.linalg.norm."""
+    d = int(np.prod(dims))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def reference_random_schmidt_rank_state(da, db, rank, rng):
+    """The per-state draws and factorizations of one Schmidt-rank state."""
+    lam = rng.uniform(0.2, 1.0, size=rank)
+    lam /= np.linalg.norm(lam)
+    ga = rng.standard_normal((da, rank)) + 1j * rng.standard_normal((da, rank))
+    gb = rng.standard_normal((db, rank)) + 1j * rng.standard_normal((db, rank))
+    qa, _ = np.linalg.qr(ga)
+    qb, _ = np.linalg.qr(gb)
+    return ((qa * lam) @ qb.T).ravel()
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 4), (2,) * 8, (2,) * 16])
+def test_random_pure_stack_rows_are_successive_draws(dims):
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    one = random_pure(dims, rng)
+    assert one.count is None
+    assert np.array_equal(one.amplitudes.view(np.uint8),
+                          reference_random_pure(dims, ref_rng).view(np.uint8))
+    stack = random_pure(dims, rng, 5)
+    assert stack.amplitudes.shape == (5, int(np.prod(dims)))
+    for row in stack.amplitudes:
+        ref = reference_random_pure(dims, ref_rng)
+        assert np.array_equal(row.view(np.uint8), ref.view(np.uint8))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("da, db, rank", [(2, 2, 1), (2, 2, 2), (4, 4, 3), (3, 5, 3)])
+def test_random_schmidt_rank_stack_rows_are_successive_draws(da, db, rank):
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    one = random_schmidt_rank_state(da, db, rank, rng)
+    ref = reference_random_schmidt_rank_state(da, db, rank, ref_rng)
+    assert np.array_equal(one.amplitudes.view(np.uint8), ref.view(np.uint8))
+    stack = random_schmidt_rank_state(da, db, rank, rng, 6)
+    assert stack.count == 6
+    for row in stack.amplitudes:
+        ref = reference_random_schmidt_rank_state(da, db, rank, ref_rng)
+        assert np.array_equal(row.view(np.uint8), ref.view(np.uint8))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 0.1], [0.3, 0.5]]),  # not Hermitian
+    np.eye(2),                            # trace 2
+    np.diag([1.5, -0.5]),                 # a negative eigenvalue
+])
+def test_a_stack_with_one_bad_row_raises_what_the_row_raises(bad):
+    good = random_density((2,), np.random.default_rng(7)).matrix
+    with pytest.raises(ValueError) as single:
+        DensityMatrix((2,), bad)
+    with pytest.raises(ValueError) as stacked:
+        DensityMatrix((2,), np.stack([good, good, bad.astype(complex), good]))
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stack_rows_are_checked_on_their_own_scale():
+    # an asymmetry of 1e-6 is within 1e-10 of a 1e5 scale, not of the unit one
+    big = np.diag([1e5, 1.0 - 1e5]).astype(complex)
+    small = np.eye(2, dtype=complex) / 2
+    small[0, 1] = 1e-6
+    with pytest.raises(NotHermitianError):
+        DensityMatrix((2,), np.stack([big, small]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda psi: partial_trace(psi.projector(), [0]),
+    lambda psi: is_ppt(psi.projector()),
+    lambda psi: renyi_entropy(psi.projector(), 2),
+    lambda psi: mutual_information(psi.projector()),
+    lambda psi: schmidt(psi),
+    lambda psi: from_dense(psi),
+    lambda psi: block_entropy_scan(psi, [1]),
+    lambda psi: direct_evolve(psi.projector(), KineticModel.thermal("two-flip", 2, 0.4), 0.1,
+                              generator=np.eye(16)),
+    lambda psi: negativity(psi.projector()),
+    lambda psi: log_negativity(psi.projector()),
+    lambda psi: witness_from_npt(psi.projector()),
+])
+def test_single_state_functions_reject_a_stack(call):
+    stack = random_pure((2, 2), np.random.default_rng(8), 3)
+    with pytest.raises(ValueError, match="stack of 3"):
+        call(stack)
 
 
 def test_validation_rejects_nan():
